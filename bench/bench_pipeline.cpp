@@ -1,17 +1,21 @@
 // Experiment C3 — end-to-end transformation cost: PCM is "composed of only
 // two unidirectional bitvector data-flow analyses" and "similarly efficient"
 // to sequential BCM. Measures the full pipeline (join splitting, term
-// collection, both analyses, placement) on random and family programs.
+// collection, both analyses, placement) on random and family programs, and
+// the default pass pipeline per pass on the large-program family.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
+#include <string>
 
 #include "bench_support.hpp"
 
 #include "motion/bcm.hpp"
 #include "motion/pcm.hpp"
+#include "motion/pipeline.hpp"
 #include "obs/remarks.hpp"
 #include "workload/families.hpp"
 #include "workload/randomprog.hpp"
@@ -53,6 +57,40 @@ void BM_PcmPipelineRandom(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(g.num_nodes());
 }
 BENCHMARK(BM_PcmPipelineRandom)->DenseRange(1, 4);
+
+// The default pipeline (pcm -> constprop -> sinking -> dce, validating
+// between passes) on large_family(segments, 1): 202, 802 and 3202 nodes.
+// The *_ms counters are per-pass wall times averaged over the iterations;
+// `relaxations` is one run's motion.liveness.relaxations (sinking's
+// per-candidate liveness solves plus DCE's per-round ones), a deterministic
+// count that check_bench_regression.py gates hard. It comes from the
+// PassStats counter deltas, so it reads 0 when the library is built with
+// PARCM_OBS=OFF.
+void BM_DefaultPipelineLarge(benchmark::State& state) {
+  Graph g =
+      families::large_family(static_cast<std::size_t>(state.range(0)), 1);
+  Pipeline pipeline = default_pipeline();
+  std::map<std::string, double> pass_ms;
+  std::uint64_t relaxations = 0;
+  for (auto _ : state) {
+    PipelineResult r = pipeline.run(g);
+    relaxations = 0;
+    for (const PassStats& p : r.passes) {
+      pass_ms[p.name] += p.wall_ms;
+      auto it = p.counters.find("motion.liveness.relaxations");
+      if (it != p.counters.end()) relaxations += it->second;
+    }
+    benchmark::DoNotOptimize(r.graph.num_nodes());
+  }
+  double iterations = static_cast<double>(state.iterations());
+  for (const char* pass : {"pcm", "constprop", "sinking", "dce"}) {
+    state.counters[std::string(pass) + "_ms"] = pass_ms[pass] / iterations;
+  }
+  state.counters["nodes"] = static_cast<double>(g.num_nodes());
+  state.counters["relaxations"] = static_cast<double>(relaxations);
+}
+BENCHMARK(BM_DefaultPipelineLarge)->Arg(10)->Arg(40)->Arg(160)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NaiveVsRefinedAnalysisCost(benchmark::State& state) {
   // The refinements are free: same two passes, only the synchronization

@@ -32,7 +32,8 @@ Usage:
   check_bench_regression.py --self-test
 
 Multiple --baseline/--fresh files pair up by their "bench" field. Exit
-codes: 0 clean (or advisory-only findings), 1 regression, 2 usage error.
+codes: 0 clean (or advisory-only findings), 1 regression, 2 usage error
+(including a named --baseline or --fresh file that does not exist).
 """
 
 import argparse
@@ -65,6 +66,30 @@ ABSOLUTE_BOUNDS = [
     ("vm_regressed_paths", "ceiling", 0.0),
     ("vm_cost_mismatches", "ceiling", 0.0),
 ]
+
+
+# How to produce each kind of input when it is missing.
+REGENERATE = {
+    "baseline": "scripts/run_bench.sh [BUILD_DIR] writes the committed "
+                "baselines BENCH_{fixpoint,pipeline,exec,batch}.json at the "
+                "repository root; commit the one that is missing",
+    "fresh": "PARCM_BENCH_OUT_DIR=<dir> scripts/run_bench.sh [BUILD_DIR] "
+             "writes a fresh run to <dir> without touching the baselines",
+}
+
+
+def missing_inputs(baseline_paths, fresh_paths, out):
+    """Names every --baseline/--fresh file that does not exist and how to
+    regenerate it; returns True when any is missing."""
+    missing = False
+    for kind, paths in (("baseline", baseline_paths), ("fresh", fresh_paths)):
+        for path in paths:
+            if os.path.isfile(path):
+                continue
+            out(f"error: --{kind} file {path} does not exist; "
+                f"{REGENERATE[kind]}")
+            missing = True
+    return missing
 
 
 def load_results(path):
@@ -206,6 +231,8 @@ def check_absolute_bounds(fresh_runs, out):
 
 def run_gate(baseline_paths, fresh_paths, threshold, hard_counters,
              advisory_timing, out=print):
+    if missing_inputs(baseline_paths, fresh_paths, out):
+        return 2
     baselines = {}
     for path in baseline_paths:
         bench, results = load_results(path)
@@ -332,6 +359,8 @@ def run_trend(history_dir, fresh_paths, threshold, hard_counters,
     if not fresh_paths:
         out("trend report only (no --fresh run to gate)")
         return 0
+    if missing_inputs([], fresh_paths, out):
+        return 2
 
     fresh_runs = {}
     for path in fresh_paths:
@@ -550,6 +579,29 @@ def self_test(threshold):
         if run_trend(history, [more], threshold, DEFAULT_HARD_COUNTERS,
                      True, quiet) != 1:
             failures.append("history gate accepted counter growth")
+    # A missing input is a usage error that names the file and how to
+    # regenerate it, in both gate modes.
+    absent = os.path.join(tempfile.gettempdir(), "parcm-absent-BENCH_x.json")
+    for baselines, fresh, kind in (([absent], [base], "baseline"),
+                                   ([base], [absent], "fresh")):
+        lines = []
+        code = run_gate(baselines, fresh, threshold, DEFAULT_HARD_COUNTERS,
+                        False, lines.append)
+        named = any(absent in l and f"--{kind}" in l and "run_bench.sh" in l
+                    for l in lines)
+        if code != 2 or not named:
+            failures.append(f"missing --{kind} file not reported by name")
+    with tempfile.TemporaryDirectory() as history:
+        snap = os.path.join(history, "20260101T000000Z-abc0")
+        os.makedirs(snap)
+        with open(os.path.join(snap, "BENCH_fixture.json"), "w") as f:
+            json.dump(make_fixture(), f)
+        lines = []
+        code = run_trend(history, [absent], threshold, DEFAULT_HARD_COUNTERS,
+                         False, lines.append)
+        if code != 2 or not any(absent in l for l in lines):
+            failures.append("missing --fresh file not reported in history mode")
+
     empty = tempfile.mkdtemp()
     if run_trend(empty, [], threshold, DEFAULT_HARD_COUNTERS, False,
                  quiet) != 2:
@@ -564,6 +616,11 @@ def self_test(threshold):
         return 1
     print("self-test passed")
     return 0
+
+
+def report(line):
+    """Command-line out(): usage errors to stderr, the report to stdout."""
+    print(line, file=sys.stderr if line.startswith("error:") else sys.stdout)
 
 
 def main(argv):
@@ -596,7 +653,7 @@ def main(argv):
     if args.history:
         try:
             return run_trend(args.history, args.fresh, args.threshold, hard,
-                             args.advisory_timing)
+                             args.advisory_timing, report)
         except (OSError, ValueError, KeyError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
@@ -605,7 +662,7 @@ def main(argv):
                 "(or use --history / --self-test)")
     try:
         return run_gate(args.baseline, args.fresh, args.threshold, hard,
-                        args.advisory_timing)
+                        args.advisory_timing, report)
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

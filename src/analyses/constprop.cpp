@@ -25,19 +25,12 @@ namespace {
 void accesses(const Graph& g, NodeId n, std::vector<VarId>* reads,
               VarId* write) {
   const Node& node = g.node(n);
-  auto add_rhs = [&](const Rhs& rhs) {
-    if (rhs.is_term()) {
-      if (rhs.term().lhs.is_var()) reads->push_back(rhs.term().lhs.var_id());
-      if (rhs.term().rhs.is_var()) reads->push_back(rhs.term().rhs.var_id());
-    } else if (rhs.trivial().is_var()) {
-      reads->push_back(rhs.trivial().var_id());
-    }
-  };
+  auto add = [reads](VarId v) { reads->push_back(v); };
   if (node.kind == NodeKind::kAssign) {
     *write = node.lhs;
-    add_rhs(node.rhs);
+    node.rhs.for_each_var(add);
   } else if (node.kind == NodeKind::kTest) {
-    add_rhs(*node.cond);
+    node.cond->for_each_var(add);
   }
 }
 

@@ -82,4 +82,36 @@ std::vector<char> region_nondest_flags(
   return nondest;
 }
 
+std::vector<BitVector::Word> region_sibling_rows(
+    const Graph& g, std::span<const BitVector::Word> direct,
+    std::size_t words) {
+  using Word = BitVector::Word;
+  std::size_t num_regions = g.num_regions();
+  PARCM_CHECK(direct.size() == num_regions * words, "region row shape");
+  std::vector<Word> folded(direct.begin(), direct.end());
+  for (std::size_t ri = num_regions; ri-- > 1;) {
+    RegionId parent =
+        parent_region(g, RegionId(static_cast<RegionId::underlying>(ri)));
+    PARCM_CHECK(parent.valid() && parent.index() < ri,
+                "region created before its parent");
+    Word* to = folded.data() + parent.index() * words;
+    const Word* from = folded.data() + ri * words;
+    for (std::size_t w = 0; w < words; ++w) to[w] |= from[w];
+  }
+  std::vector<Word> siblings(num_regions * words, 0);
+  for (std::size_t ri = 1; ri < num_regions; ++ri) {
+    RegionId r(static_cast<RegionId::underlying>(ri));
+    Word* row = siblings.data() + ri * words;
+    const Word* inherited =
+        siblings.data() + parent_region(g, r).index() * words;
+    for (std::size_t w = 0; w < words; ++w) row[w] = inherited[w];
+    for (RegionId sibling : g.par_stmt(g.region(r).owner).components) {
+      if (sibling == r) continue;
+      const Word* from = folded.data() + sibling.index() * words;
+      for (std::size_t w = 0; w < words; ++w) row[w] |= from[w];
+    }
+  }
+  return siblings;
+}
+
 }  // namespace parcm

@@ -7,9 +7,14 @@
 // region. Regions are created parents-first, so one reverse index scan
 // folds children into parents and one forward scan pushes NonDest down the
 // nesting tree; neither materializes nodes_in_region_recursive.
+//
+// The may-analyses (parallel liveness, sinking's contested variables) use
+// the dual of NonDest on flat word matrices: what a sibling component, at
+// any nesting level, may do while a region runs.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/graph.hpp"
@@ -34,5 +39,14 @@ std::vector<BitVector> region_nondest_masks(
 
 std::vector<char> region_nondest_flags(
     const Graph& g, const std::vector<char>& region_destroy);
+
+// Flat may-flavour over R x `words` row-major word matrices: `direct` holds
+// one row per region for its own member nodes. Row r of the result is the
+// union of the recursive rows (subtree folded in) of every sibling
+// component of r and of each of r's enclosing components; the root's row
+// is empty.
+std::vector<BitVector::Word> region_sibling_rows(
+    const Graph& g, std::span<const BitVector::Word> direct,
+    std::size_t words);
 
 }  // namespace parcm

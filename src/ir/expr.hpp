@@ -82,6 +82,17 @@ class Rhs {
   // True iff variable v appears anywhere in this right-hand side.
   bool uses_var(VarId v) const;
 
+  // Calls fn(v) for every variable operand, left to right.
+  template <class Fn>
+  void for_each_var(Fn&& fn) const {
+    if (term_) {
+      if (term_->lhs.is_var()) fn(term_->lhs.var_id());
+      if (term_->rhs.is_var()) fn(term_->rhs.var_id());
+    } else if (trivial_.is_var()) {
+      fn(trivial_.var_id());
+    }
+  }
+
   bool operator==(const Rhs&) const = default;
 
  private:

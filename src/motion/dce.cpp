@@ -1,7 +1,8 @@
 #include "motion/dce.hpp"
 
-#include <deque>
-
+#include "dfa/direction.hpp"
+#include "dfa/region_meta.hpp"
+#include "dfa/worklist.hpp"
 #include "obs/metrics.hpp"
 #include "obs/remarks.hpp"
 #include "support/diagnostics.hpp"
@@ -10,105 +11,91 @@ namespace parcm {
 
 namespace {
 
-// Variables read by node n (rhs operands, test condition).
-BitVector uses_mask(const Graph& g, NodeId n, std::size_t num_vars) {
-  BitVector mask(num_vars);
-  const Node& node = g.node(n);
-  auto add = [&](const Rhs& rhs) {
-    if (rhs.is_term()) {
-      if (rhs.term().lhs.is_var()) mask.set(rhs.term().lhs.var_id().index());
-      if (rhs.term().rhs.is_var()) mask.set(rhs.term().rhs.var_id().index());
-    } else if (rhs.trivial().is_var()) {
-      mask.set(rhs.trivial().var_id().index());
-    }
-  };
-  if (node.kind == NodeKind::kAssign) add(node.rhs);
-  if (node.kind == NodeKind::kTest) add(*node.cond);
-  return mask;
+using Word = BitVector::Word;
+
+bool any_bit(const Word* row, std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) {
+    if (row[w] != 0) return true;
+  }
+  return false;
 }
 
 }  // namespace
 
 ParallelLiveness compute_parallel_liveness(const Graph& g,
                                            const BitVector& observed) {
-  std::size_t k = g.num_vars();
-  PARCM_CHECK(observed.size() == k, "observed mask size");
+  PARCM_CHECK(observed.size() == g.num_vars(), "observed mask size");
+  const std::size_t words = observed.word_count();
+  const std::size_t num_nodes = g.num_nodes();
 
-  std::vector<BitVector> use(g.num_nodes(), BitVector(k));
-  std::vector<BitVector> def(g.num_nodes(), BitVector(k));
+  // use/def rows per node (rhs operands and test conditions are reads) and
+  // each region's direct reads.
+  std::vector<Word> use(num_nodes * words, 0);
+  std::vector<Word> def(num_nodes * words, 0);
+  std::vector<Word> region_reads(g.num_regions() * words, 0);
   for (NodeId n : g.all_nodes()) {
-    use[n.index()] = uses_mask(g, n, k);
-    if (g.node(n).kind == NodeKind::kAssign) {
-      def[n.index()].set(g.node(n).lhs.index());
+    const Node& node = g.node(n);
+    Word* use_row = use.data() + n.index() * words;
+    auto read = [use_row](VarId v) { BitVector::set_bit(use_row, v.index()); };
+    if (node.kind == NodeKind::kAssign) {
+      node.rhs.for_each_var(read);
+      BitVector::set_bit(def.data() + n.index() * words, node.lhs.index());
+    } else if (node.kind == NodeKind::kTest) {
+      node.cond->for_each_var(read);
     }
+    Word* region_row = region_reads.data() + node.region.index() * words;
+    for (std::size_t w = 0; w < words; ++w) region_row[w] |= use_row[w];
   }
-
-  // Interference: a read anywhere in a sibling component may execute after
-  // any point of this component. Aggregate read masks per component.
-  std::vector<BitVector> region_use(g.num_regions(), BitVector(k));
-  for (std::size_t ri = 0; ri < g.num_regions(); ++ri) {
-    RegionId r(static_cast<RegionId::underlying>(ri));
-    for (NodeId n : g.nodes_in_region_recursive(r)) {
-      region_use[ri] |= use[n.index()];
-    }
-  }
-  std::vector<BitVector> sibling_use(g.num_nodes(), BitVector(k));
-  for (NodeId n : g.all_nodes()) {
-    for (const Graph::Enclosing& enc : g.enclosing_stmts(n)) {
-      for (RegionId comp : g.par_stmt(enc.stmt).components) {
-        if (comp != enc.component) {
-          sibling_use[n.index()] |= region_use[comp.index()];
-        }
-      }
-    }
-  }
+  // Interference: row r holds every variable a sibling component of r (at
+  // any nesting level) may read while r runs.
+  std::vector<Word> sibling_reads = region_sibling_rows(g, region_reads, words);
+  auto sibling_row = [&](NodeId n) {
+    return sibling_reads.data() + g.node(n).region.index() * words;
+  };
 
   ParallelLiveness res;
-  res.live_in.assign(g.num_nodes(), BitVector(k));
-  res.live_out.assign(g.num_nodes(), BitVector(k));
-  res.live_out[g.end().index()] = observed;
-  {
-    BitVector in = observed;
-    in |= use[g.end().index()];
-    res.live_in[g.end().index()] = std::move(in);
-  }
+  res.words_ = words;
+  res.in_.assign(num_nodes * words, 0);
+  res.out_.assign(num_nodes * words, 0);
 
-  std::deque<NodeId> worklist;
-  std::vector<char> queued(g.num_nodes(), 0);
+  // Backward view: dir_preds are graph successors, dir_succs graph
+  // predecessors. From all-empty sets only nodes that read, sit beside a
+  // reading sibling, or are e* (observed) violate their equation.
+  DirectedView view(g, Direction::kBackward);
+  Worklist worklist;
+  worklist.reset(num_nodes, WorklistPolicy::kSparseRpo);
   for (NodeId n : g.all_nodes()) {
-    worklist.push_back(n);
-    queued[n.index()] = 1;
+    if (n == g.end() || any_bit(use.data() + n.index() * words, words) ||
+        any_bit(sibling_row(n), words)) {
+      worklist.push(view.rpo_index(n));
+    }
   }
-  std::size_t relaxations = 0;
+  const Word* observed_row = observed.words().data();
   while (!worklist.empty()) {
-    NodeId n = worklist.front();
-    worklist.pop_front();
-    queued[n.index()] = 0;
-    ++relaxations;
-
-    BitVector out(k);
-    if (n == g.end()) {
-      out = observed;
-    } else {
-      for (NodeId m : g.succs(n)) out |= res.live_in[m.index()];
+    NodeId n = view.rpo_node(worklist.pop());
+    ++res.relaxations_;
+    Word* out = res.out_.data() + n.index() * words;
+    const Word* sib = sibling_row(n);
+    for (std::size_t w = 0; w < words; ++w) {
+      out[w] = n == g.end() ? sib[w] | observed_row[w] : sib[w];
     }
-    out |= sibling_use[n.index()];
-    BitVector in = out;
-    in.and_not(def[n.index()]);
-    in |= use[n.index()];
-    if (in == res.live_in[n.index()] && out == res.live_out[n.index()]) {
-      continue;
+    for (NodeId m : view.dir_preds(n)) {
+      const Word* succ_in = res.in_.data() + m.index() * words;
+      for (std::size_t w = 0; w < words; ++w) out[w] |= succ_in[w];
     }
-    res.live_in[n.index()] = std::move(in);
-    res.live_out[n.index()] = std::move(out);
-    for (NodeId m : g.preds(n)) {
-      if (!queued[m.index()]) {
-        queued[m.index()] = 1;
-        worklist.push_back(m);
-      }
+    Word* in = res.in_.data() + n.index() * words;
+    const Word* use_row = use.data() + n.index() * words;
+    const Word* def_row = def.data() + n.index() * words;
+    bool changed = false;
+    for (std::size_t w = 0; w < words; ++w) {
+      Word next = use_row[w] | (out[w] & ~def_row[w]);
+      changed |= next != in[w];
+      in[w] = next;
     }
+    if (!changed) continue;
+    for (NodeId m : view.dir_succs(n)) worklist.push(view.rpo_index(m));
   }
-  PARCM_OBS_COUNT("motion.liveness.relaxations", relaxations);
+  PARCM_OBS_COUNT("motion.liveness.relaxations", res.relaxations_);
   return res;
 }
 
@@ -132,7 +119,7 @@ DceResult eliminate_dead_assignments(const Graph& g,
     for (NodeId n : out.all_nodes()) {
       Node& node = out.node(n);
       if (node.kind != NodeKind::kAssign) continue;
-      if (live.live_out[n.index()].test(node.lhs.index())) continue;
+      if (live.live_out(n, node.lhs)) continue;
       // Dead: no interleaving reads the value before it is overwritten.
       PARCM_OBS_REMARK(obs::Remark{
           obs::RemarkKind::kReplaced, "", n.value(), -1, "",

@@ -11,8 +11,19 @@
 // code motion pipeline it needs no hierarchical synchronization: the union
 // over interleavings equals the union over graph paths, plus interference —
 // a read of x anywhere in a sibling component may execute after any point
-// of the component, which conservatively makes x live throughout. The
-// sibling-read masks are aggregated per component exactly like NonDest.
+// of the component, which conservatively makes x live throughout. Each
+// region's direct reads are folded once up the region tree and pushed back
+// down as sibling unions (dfa/region_meta, the may-dual of NonDest), so a
+// node's interference is the row of its region.
+//
+// The solve is one word-parallel backward pass on the dfa engine: use, def,
+// live-in and live-out are flat num_nodes x W word matrices (W words per
+// variable set), and a sparse-RPO Worklist over DirectedView(kBackward)
+// starts from the empty sets with only the violated equations seeded (nodes
+// that read, sit beside a reading sibling, or are e*). On loop-free graphs
+// every node is therefore relaxed at most once, and nothing is allocated
+// per relaxation. The least fixpoint of these equations is unique, so the
+// evaluation order changes no result bit.
 //
 // Elimination cascades (removing a dead assignment may kill the last use
 // feeding another one — "faint" variables), so the transformation iterates
@@ -45,11 +56,29 @@ struct DceResult {
 DceResult eliminate_dead_assignments(const Graph& g,
                                      const DceOptions& options = {});
 
-// The liveness analysis behind it: one bit per variable.
-struct ParallelLiveness {
-  // live at entry / exit of each node (graph paths + interference).
-  std::vector<BitVector> live_in;
-  std::vector<BitVector> live_out;
+// The liveness analysis behind it: one bit per variable, rows of flat word
+// matrices indexed by node.
+class ParallelLiveness {
+ public:
+  // v may be read, on some interleaving continuing from the entry / exit of
+  // n, before it is overwritten (graph paths + interference).
+  bool live_in(NodeId n, VarId v) const { return test(in_, n, v); }
+  bool live_out(NodeId n, VarId v) const { return test(out_, n, v); }
+  // Equations the solve evaluated (worklist pops).
+  std::size_t relaxations() const { return relaxations_; }
+
+ private:
+  friend ParallelLiveness compute_parallel_liveness(const Graph& g,
+                                                    const BitVector& observed);
+
+  bool test(const std::vector<BitVector::Word>& m, NodeId n, VarId v) const {
+    return BitVector::test_bit(m.data() + n.index() * words_, v.index());
+  }
+
+  std::size_t words_ = 0;
+  std::vector<BitVector::Word> in_;
+  std::vector<BitVector::Word> out_;
+  std::size_t relaxations_ = 0;
 };
 
 ParallelLiveness compute_parallel_liveness(const Graph& g,

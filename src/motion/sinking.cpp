@@ -1,7 +1,8 @@
 #include "motion/sinking.hpp"
 
-#include <deque>
+#include <algorithm>
 
+#include "dfa/region_meta.hpp"
 #include "ir/printer.hpp"
 #include "ir/transform_utils.hpp"
 #include "motion/dce.hpp"
@@ -14,41 +15,35 @@ namespace parcm {
 
 namespace {
 
-// Variables with a potentially-parallel (write, access) pair.
+// Variables with a potentially-parallel (write, access) pair: a node's
+// write conflicts with an access anywhere in a sibling component of its
+// region, at any nesting level.
 BitVector contested_vars(const Graph& g) {
-  std::size_t k = g.num_vars();
-  std::vector<BitVector> access(g.num_regions(), BitVector(k));
-  std::vector<BitVector> write(g.num_regions(), BitVector(k));
-  for (std::size_t ri = 0; ri < g.num_regions(); ++ri) {
-    RegionId r(static_cast<RegionId::underlying>(ri));
-    for (NodeId n : g.nodes_in_region_recursive(r)) {
-      const Node& node = g.node(n);
-      auto touch = [&](const Rhs& rhs) {
-        if (rhs.is_term()) {
-          if (rhs.term().lhs.is_var()) access[ri].set(rhs.term().lhs.var_id().index());
-          if (rhs.term().rhs.is_var()) access[ri].set(rhs.term().rhs.var_id().index());
-        } else if (rhs.trivial().is_var()) {
-          access[ri].set(rhs.trivial().var_id().index());
-        }
-      };
-      if (node.kind == NodeKind::kAssign) {
-        access[ri].set(node.lhs.index());
-        write[ri].set(node.lhs.index());
-        touch(node.rhs);
-      } else if (node.kind == NodeKind::kTest) {
-        touch(*node.cond);
-      }
+  using Word = BitVector::Word;
+  BitVector contested(g.num_vars());
+  const std::size_t words = contested.word_count();
+  std::vector<Word> access(g.num_regions() * words, 0);
+  std::vector<Word> write(g.num_regions() * words, 0);
+  for (NodeId n : g.all_nodes()) {
+    const Node& node = g.node(n);
+    Word* access_row = access.data() + node.region.index() * words;
+    auto touch = [access_row](VarId v) {
+      BitVector::set_bit(access_row, v.index());
+    };
+    if (node.kind == NodeKind::kAssign) {
+      touch(node.lhs);
+      BitVector::set_bit(write.data() + node.region.index() * words,
+                         node.lhs.index());
+      node.rhs.for_each_var(touch);
+    } else if (node.kind == NodeKind::kTest) {
+      node.cond->for_each_var(touch);
     }
   }
-  BitVector contested(k);
-  for (std::size_t si = 0; si < g.num_par_stmts(); ++si) {
-    const ParStmt& s =
-        g.par_stmt(ParStmtId(static_cast<ParStmtId::underlying>(si)));
-    for (RegionId a : s.components) {
-      for (RegionId b : s.components) {
-        if (a == b) continue;
-        contested |= write[a.index()] & access[b.index()];
-      }
+  std::vector<Word> sibling_access = region_sibling_rows(g, access, words);
+  avector<Word>& out = contested.words();
+  for (std::size_t r = 0; r < g.num_regions(); ++r) {
+    for (std::size_t w = 0; w < words; ++w) {
+      out[w] |= write[r * words + w] & sibling_access[r * words + w];
     }
   }
   return contested;
@@ -56,18 +51,21 @@ BitVector contested_vars(const Graph& g) {
 
 class Sinker {
  public:
-  explicit Sinker(Graph& g) : g_(g) {}
+  explicit Sinker(Graph& g) : g_(g), observed_(g.num_vars(), true) {}
 
   // Attempts to sink assignment node a; returns true if applied.
   bool try_sink(NodeId a, std::size_t* placed, std::size_t* dropped) {
-    const Node& node = g_.node(a);
+    // Reads go through a const view: the mutable accessors bump the graph
+    // version.
+    const Graph& g = g_;
+    const Node& node = g.node(a);
     PARCM_CHECK(node.kind == NodeKind::kAssign, "sinking a non-assignment");
     x_ = node.lhs;
     rhs_ = node.rhs;
 
     // Clean(n): the assignment commutes with n and may move past it.
     auto clean = [&](NodeId n) {
-      const Node& m = g_.node(n);
+      const Node& m = g.node(n);
       if (m.kind == NodeKind::kParBegin || m.kind == NodeKind::kParEnd ||
           m.kind == NodeKind::kBarrier || m.kind == NodeKind::kEnd) {
         return false;
@@ -82,66 +80,78 @@ class Sinker {
       return true;  // skip / synthetic / start
     };
 
-    // D(n): greatest fixpoint over nodes reachable from a.
-    std::vector<char> reachable(g_.num_nodes(), 0);
-    {
-      std::vector<NodeId> stack{a};
-      reachable[a.index()] = 1;
-      while (!stack.empty()) {
-        NodeId n = stack.back();
-        stack.pop_back();
-        for (NodeId m : g_.succs(n)) {
-          if (!reachable[m.index()]) {
-            reachable[m.index()] = 1;
-            stack.push_back(m);
-          }
+    // D(n), the greatest fixpoint of
+    //   D(n) = n != a and every predecessor m is a or satisfies D(m) and
+    //          Clean(m),
+    // lies inside the nodes reachable from a through clean nodes: by
+    // induction on the shortest path from a, a D-node's predecessor on that
+    // path is a or a clean D-node. Starting from that region (every node
+    // in it D) and retracting violated nodes reaches the same greatest
+    // fixpoint as a sweep over the whole graph, touching only the region.
+    std::size_t num_nodes = g.num_nodes();
+    d_.assign(num_nodes, 0);
+    clean_.assign(num_nodes, 0);
+    region_.clear();
+    auto enter_successors = [&](NodeId n) {
+      for (EdgeId e : g.node(n).out_edges) {
+        NodeId t = g.edge(e).to;
+        if (t == a || d_[t.index()]) continue;
+        d_[t.index()] = 1;
+        clean_[t.index()] = clean(t);
+        region_.push_back(t);
+      }
+    };
+    enter_successors(a);
+    for (std::size_t i = 0; i < region_.size(); ++i) {
+      if (clean_[region_[i].index()]) enter_successors(region_[i]);
+    }
+    pending_.assign(region_.begin(), region_.end());
+    while (!pending_.empty()) {
+      NodeId n = pending_.back();
+      pending_.pop_back();
+      if (!d_[n.index()]) continue;
+      bool delayed = true;
+      for (EdgeId e : g.node(n).in_edges) {
+        NodeId m = g.edge(e).from;
+        if (m != a && !(d_[m.index()] && clean_[m.index()])) {
+          delayed = false;
+          break;
         }
       }
-    }
-    std::vector<char> d(g_.num_nodes(), 0);
-    for (NodeId n : g_.all_nodes()) {
-      d[n.index()] = reachable[n.index()] && n != a;
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (NodeId n : g_.all_nodes()) {
-        if (!d[n.index()]) continue;
-        bool v = true;
-        for (NodeId m : g_.preds(n)) {
-          bool ok = m == a || (d[m.index()] && clean(m));
-          v = v && ok;
-        }
-        if (!v) {
-          d[n.index()] = 0;
-          changed = true;
-        }
+      if (delayed) continue;
+      d_[n.index()] = 0;
+      if (!clean_[n.index()]) continue;  // successors never relied on n
+      for (EdgeId e : g.node(n).out_edges) {
+        NodeId t = g.edge(e).to;
+        if (d_[t.index()]) pending_.push_back(t);
       }
     }
 
     // Placements: (a) before blocked D-nodes, (b) on edges leaving the
-    // D-region from clean D-nodes (or from a itself).
+    // D-region from clean D-nodes (or from a itself), both in node order.
+    region_.push_back(a);
+    std::sort(region_.begin(), region_.end());
     std::vector<NodeId> before_nodes;
     std::vector<EdgeId> on_edges;
-    for (NodeId n : g_.all_nodes()) {
-      if (d[n.index()] && !clean(n)) before_nodes.push_back(n);
-      bool source_ok = n == a || (d[n.index()] && clean(n));
+    for (NodeId n : region_) {
+      bool in_d = d_[n.index()] != 0;
+      if (in_d && !clean_[n.index()]) before_nodes.push_back(n);
+      bool source_ok = n == a || (in_d && clean_[n.index()]);
       if (!source_ok) continue;
-      for (EdgeId e : g_.node(n).out_edges) {
-        NodeId t = g_.edge(e).to;
-        if (!d[t.index()]) on_edges.push_back(e);
+      for (EdgeId e : g.node(n).out_edges) {
+        NodeId t = g.edge(e).to;
+        if (!d_[t.index()]) on_edges.push_back(e);
       }
     }
 
     // Liveness decides which copies are dead (every variable observable:
     // only definite overwrites drop).
-    BitVector observed(g_.num_vars(), true);
-    ParallelLiveness live = compute_parallel_liveness(g_, observed);
+    ParallelLiveness live = compute_parallel_liveness(g, observed_);
     std::size_t new_placed = 0, new_dropped = 0;
     std::vector<NodeId> live_before;
     std::vector<EdgeId> live_edges;
     for (NodeId n : before_nodes) {
-      if (live.live_in[n.index()].test(x_.index())) {
+      if (live.live_in(n, x_)) {
         live_before.push_back(n);
         ++new_placed;
       } else {
@@ -149,8 +159,7 @@ class Sinker {
       }
     }
     for (EdgeId e : on_edges) {
-      NodeId t = g_.edge(e).to;
-      if (live.live_in[t.index()].test(x_.index())) {
+      if (live.live_in(g.edge(e).to, x_)) {
         live_edges.push_back(e);
         ++new_placed;
       } else {
@@ -163,7 +172,7 @@ class Sinker {
     if (new_dropped == 0) return false;
 
     for (NodeId n : live_before) {
-      NodeId copy = g_.new_assign(g_.node(n).region, x_, rhs_);
+      NodeId copy = g_.new_assign(g.node(n).region, x_, rhs_);
       g_.splice_before(copy, n);
     }
     for (EdgeId e : live_edges) {
@@ -182,8 +191,17 @@ class Sinker {
 
  private:
   Graph& g_;
+  // Sinking introduces no variables, so one all-observed mask serves every
+  // candidate.
+  BitVector observed_;
   VarId x_;
   Rhs rhs_;
+  // Per-candidate scratch, reused: D and Clean flags by node, the region
+  // reachable through clean nodes, and the retraction worklist.
+  std::vector<char> d_;
+  std::vector<char> clean_;
+  std::vector<NodeId> region_;
+  std::vector<NodeId> pending_;
 };
 
 }  // namespace
@@ -200,15 +218,8 @@ SinkingResult sink_partially_dead_assignments(const Graph& g) {
     const Node& node = out.node(n);
     if (node.kind != NodeKind::kAssign) continue;
     bool ok = !contested.test(node.lhs.index());
-    auto check = [&](const Operand& op) {
-      if (op.is_var()) ok = ok && !contested.test(op.var_id().index());
-    };
-    if (node.rhs.is_term()) {
-      check(node.rhs.term().lhs);
-      check(node.rhs.term().rhs);
-    } else {
-      check(node.rhs.trivial());
-    }
+    node.rhs.for_each_var(
+        [&](VarId v) { ok = ok && !contested.test(v.index()); });
     if (ok) {
       candidates.push_back(n);
     } else {

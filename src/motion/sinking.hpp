@@ -13,15 +13,23 @@
 //          boundary (ParBegin/ParEnd block: sinking into components would
 //          duplicate the assignment across sibling executions, sinking out
 //          would reorder it against the join).
+// The greatest fixpoint lies inside the nodes reachable from A through
+// clean nodes, so D is solved by a worklist over that region alone (every
+// node starts in D; violated nodes retract and re-check their successors)
+// rather than by sweeps over the whole graph; the fixpoint is the same.
 // Copies are placed (a) before every node n with D(n) that is not clean
 // (the first consumer / blocker on each path) and (b) on every edge leaving
-// the D-region; a copy is dropped when x is dead at its placement. Each
-// path through A crosses exactly one placement, so per-path cost never
-// increases, and strictly decreases on the dead paths.
+// the D-region; a copy is dropped when x is dead at its placement, which
+// one compute_parallel_liveness solve per candidate decides (dce.hpp).
+// Each path through A crosses exactly one placement, so per-path cost
+// never increases, and strictly decreases on the dead paths.
 //
 // Interference: only assignments whose left-hand side and operands are all
 // *uncontested* (no potentially-parallel access) are candidates — for those
-// the reordering is thread-local and invisible to siblings.
+// the reordering is thread-local and invisible to siblings. A variable is
+// contested when a node writes it while a sibling component may access it;
+// the siblings' accesses come from per-region masks folded once up the
+// region tree (dfa/region_meta), as for liveness interference.
 #pragma once
 
 #include <vector>

@@ -15,19 +15,12 @@ namespace {
 // Variables accessed by node n (lhs, rhs operands, test condition).
 void collect_accessed(const Graph& g, NodeId n, std::vector<VarId>* out) {
   const Node& node = g.node(n);
-  auto add_rhs = [&](const Rhs& rhs) {
-    if (rhs.is_term()) {
-      if (rhs.term().lhs.is_var()) out->push_back(rhs.term().lhs.var_id());
-      if (rhs.term().rhs.is_var()) out->push_back(rhs.term().rhs.var_id());
-    } else if (rhs.trivial().is_var()) {
-      out->push_back(rhs.trivial().var_id());
-    }
-  };
+  auto add = [out](VarId v) { out->push_back(v); };
   if (node.kind == NodeKind::kAssign) {
     out->push_back(node.lhs);
-    add_rhs(node.rhs);
+    node.rhs.for_each_var(add);
   } else if (node.kind == NodeKind::kTest) {
-    add_rhs(*node.cond);
+    node.cond->for_each_var(add);
   }
 }
 

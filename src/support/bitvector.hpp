@@ -102,6 +102,14 @@ class BitVector {
   // Zeroes any bits at positions >= size(); call after raw word writes.
   void normalize();
 
+  // Bit i of a raw word row, for the solvers' flat row-major word matrices.
+  static void set_bit(Word* row, std::size_t i) {
+    row[i / kWordBits] |= Word{1} << (i % kWordBits);
+  }
+  static bool test_bit(const Word* row, std::size_t i) {
+    return (row[i / kWordBits] >> (i % kWordBits)) & 1u;
+  }
+
   // "0110..." least-significant (index 0) first.
   std::string to_string() const;
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "ir/builder.hpp"
+#include "support/rng.hpp"
 
 namespace parcm::families {
 
@@ -99,6 +100,27 @@ Graph par_nested(std::size_t depth, std::size_t len) {
            [&, d] { emit_chain(b, len, 1, "s" + std::to_string(d) + "_"); }});
   };
   nest(depth);
+  return b.finish();
+}
+
+Graph large_family(std::size_t segments, std::uint64_t seed) {
+  GraphBuilder b;
+  // Interned up front so variable ids do not depend on argument evaluation
+  // order below.
+  for (int v = 0; v < 10; ++v) b.var("v" + std::to_string(v));
+  Rng rng(seed);
+  auto var = [&rng] { return "v" + std::to_string(rng.below(10)); };
+  auto block = [&] {
+    for (int k = 0; k < 4; ++k) {
+      std::string x = var(), lhs = var(), rhs = var();
+      b.assign(x, b.v(lhs), BinOp::kAdd, b.v(rhs));
+    }
+  };
+  for (std::size_t s = 0; s < segments; ++s) {
+    block();
+    b.par({block, block});
+    block();
+  }
   return b.finish();
 }
 

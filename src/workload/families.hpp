@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "ir/graph.hpp"
 
@@ -29,5 +30,11 @@ Graph par_wide(std::size_t components, std::size_t len,
 // `depth` nested parallel statements, two components each, `len` statements
 // per component (C1 scaling on nesting).
 Graph par_nested(std::size_t depth, std::size_t len);
+
+// Large-program family (the default pipeline's size sweep): `segments`
+// repetitions of seq / par { ... } and { ... } / seq, each block four
+// `x := a + b` with x, a and b drawn from v0..v9 by Rng(seed), so every
+// segment adds 20 flow-graph nodes (20 * segments + 2 with s* and e*).
+Graph large_family(std::size_t segments, std::uint64_t seed);
 
 }  // namespace parcm::families

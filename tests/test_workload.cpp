@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <string>
 
+#include "ir/printer.hpp"
 #include "ir/terms.hpp"
 #include "ir/validate.hpp"
 #include "lang/lower.hpp"
@@ -175,6 +176,19 @@ TEST(Families, ParNestedDepth) {
   Graph g = families::par_nested(3, 2);
   validate_or_throw(g);
   EXPECT_EQ(g.num_par_stmts(), 3u);
+}
+
+TEST(Families, LargeFamilySizeAndDeterminism) {
+  for (std::size_t segments : {1u, 10u, 40u, 160u}) {
+    Graph g = families::large_family(segments, 7);
+    validate_or_throw(g);
+    EXPECT_EQ(g.num_nodes(), 20 * segments + 2);
+    EXPECT_EQ(g.num_par_stmts(), segments);
+    EXPECT_LE(g.num_vars(), 10u);
+    EXPECT_EQ(to_text(g), to_text(families::large_family(segments, 7)));
+  }
+  EXPECT_NE(to_text(families::large_family(10, 7)),
+            to_text(families::large_family(10, 8)));
 }
 
 }  // namespace
