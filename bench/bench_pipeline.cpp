@@ -77,8 +77,7 @@ void BM_DefaultPipelineLarge(benchmark::State& state) {
     relaxations = 0;
     for (const PassStats& p : r.passes) {
       pass_ms[p.name] += p.wall_ms;
-      auto it = p.counters.find("motion.liveness.relaxations");
-      if (it != p.counters.end()) relaxations += it->second;
+      relaxations += p.counter("motion.liveness.relaxations");
     }
     benchmark::DoNotOptimize(r.graph.num_nodes());
   }

@@ -10,7 +10,7 @@
 //     --table TERM  print the safety table for a term, e.g. --table 'a + b'
 //     --figure ID   load a paper figure instead of a file (1, 2, 3a, ... 10)
 //     --stats       print pass wall times, solver iteration counts and
-//                   per-term motion counters (the obs registry + trace tree)
+//                   motion counters (the obs registry + trace tree)
 //     --trace-json FILE  write a Chrome trace_event file for chrome://tracing
 //     --validate    re-check the transformation with the differential
 //                   translation-validation oracle; non-zero exit and a

@@ -230,9 +230,11 @@ std::shared_ptr<const AnalysisBundle> AnalysisCache::acquire_slow(
   std::shared_ptr<const AnalysisBundle> fresh;
   if (shared != nullptr) {
     fresh = shared->find_bundle(key);
-    PARCM_OBS_COUNT(fresh != nullptr ? "analysis.shared_cache.hits"
-                                     : "analysis.shared_cache.misses",
-                    1);
+    if (fresh != nullptr) {
+      PARCM_OBS_COUNT("analysis.shared_cache.hits", 1);
+    } else {
+      PARCM_OBS_COUNT("analysis.shared_cache.misses", 1);
+    }
   }
   if (fresh == nullptr) {
     PARCM_OBS_COUNT("analysis.cache.builds", 1);
@@ -266,9 +268,11 @@ std::shared_ptr<const InterleavingInfo> AnalysisCache::interleaving(
   if (shared != nullptr) {
     key = structural_key(g);
     fresh = shared->find_itlv(key);
-    PARCM_OBS_COUNT(fresh != nullptr ? "analysis.shared_cache.hits"
-                                     : "analysis.shared_cache.misses",
-                    1);
+    if (fresh != nullptr) {
+      PARCM_OBS_COUNT("analysis.shared_cache.hits", 1);
+    } else {
+      PARCM_OBS_COUNT("analysis.shared_cache.misses", 1);
+    }
   }
   if (fresh == nullptr) {
     PARCM_OBS_COUNT("analysis.cache.builds", 1);

@@ -2,10 +2,10 @@
 
 #include <deque>
 
-#include "ir/regions.hpp"
+#include "dfa/region_meta.hpp"
 #include "obs/metrics.hpp"
-#include "support/bitvector.hpp"
 #include "semantics/state.hpp"
+#include "support/bitvector.hpp"
 #include "support/diagnostics.hpp"
 
 namespace parcm {
@@ -20,61 +20,6 @@ CpValue meet(const CpValue& a, const CpValue& b) {
 }
 
 namespace {
-
-// Writes / accesses of node n restricted to variables.
-void accesses(const Graph& g, NodeId n, std::vector<VarId>* reads,
-              VarId* write) {
-  const Node& node = g.node(n);
-  auto add = [reads](VarId v) { reads->push_back(v); };
-  if (node.kind == NodeKind::kAssign) {
-    *write = node.lhs;
-    node.rhs.for_each_var(add);
-  } else if (node.kind == NodeKind::kTest) {
-    node.cond->for_each_var(add);
-  }
-}
-
-struct ContestedInfo {
-  std::vector<std::uint8_t> contested;
-  // Per region (recursive): variables written in its subtree.
-  std::vector<BitVector> region_write;
-};
-
-// contested[v]: some component writes v while a potentially-parallel
-// sibling reads or writes it. Aggregated per component like NonDest.
-ContestedInfo compute_contested(const Graph& g) {
-  std::size_t k = g.num_vars();
-  std::vector<BitVector> region_access(g.num_regions(), BitVector(k));
-  std::vector<BitVector> region_write(g.num_regions(), BitVector(k));
-  for (std::size_t ri = 0; ri < g.num_regions(); ++ri) {
-    RegionId r(static_cast<RegionId::underlying>(ri));
-    for (NodeId n : g.nodes_in_region_recursive(r)) {
-      std::vector<VarId> reads;
-      VarId write;
-      accesses(g, n, &reads, &write);
-      for (VarId v : reads) region_access[ri].set(v.index());
-      if (write.valid()) {
-        region_access[ri].set(write.index());
-        region_write[ri].set(write.index());
-      }
-    }
-  }
-  BitVector contested(k);
-  for (std::size_t si = 0; si < g.num_par_stmts(); ++si) {
-    const ParStmt& stmt = g.par_stmt(ParStmtId(static_cast<ParStmtId::underlying>(si)));
-    for (RegionId a : stmt.components) {
-      for (RegionId b : stmt.components) {
-        if (a == b) continue;
-        contested |= region_write[a.index()] & region_access[b.index()];
-      }
-    }
-  }
-  ContestedInfo info;
-  info.contested.assign(k, 0);
-  for (std::size_t v = 0; v < k; ++v) info.contested[v] = contested.test(v);
-  info.region_write = std::move(region_write);
-  return info;
-}
 
 CpValue eval_operand_cp(const Operand& op, const std::vector<CpValue>& state) {
   if (op.is_const()) return CpValue::constant(op.const_value());
@@ -101,8 +46,14 @@ CpValue eval_rhs_cp(const Rhs& rhs, const std::vector<CpValue>& state) {
 ConstPropAnalysis analyze_constants(const Graph& g) {
   std::size_t k = g.num_vars();
   ConstPropAnalysis res;
-  ContestedInfo info = compute_contested(g);
-  res.contested = info.contested;
+  BitVector contested = contested_vars(g);
+  res.contested.assign(k, 0);
+  for (std::size_t v = 0; v < k; ++v) res.contested[v] = contested.test(v);
+  // Per region, the variables written anywhere in its subtree: the
+  // parallel-aware join below asks which component writes a variable.
+  const std::size_t words = contested.word_count();
+  std::vector<BitVector::Word> region_write =
+      region_subtree_rows(g, region_write_rows(g, words), words);
 
   auto clamp = [&](std::vector<CpValue>& state) {
     for (std::size_t v = 0; v < k; ++v) {
@@ -142,7 +93,8 @@ ConstPropAnalysis analyze_constants(const Graph& g) {
         bool multiple = false;
         const ParStmt& stmt = g.par_stmt(g.node(n).par_stmt);
         for (RegionId comp : stmt.components) {
-          if (info.region_write[comp.index()].test(v)) {
+          if (BitVector::test_bit(
+                  region_write.data() + comp.index() * words, v)) {
             multiple = writer.valid();
             writer = comp;
           }

@@ -82,7 +82,7 @@ std::vector<char> region_nondest_flags(
   return nondest;
 }
 
-std::vector<BitVector::Word> region_sibling_rows(
+std::vector<BitVector::Word> region_subtree_rows(
     const Graph& g, std::span<const BitVector::Word> direct,
     std::size_t words) {
   using Word = BitVector::Word;
@@ -98,6 +98,15 @@ std::vector<BitVector::Word> region_sibling_rows(
     const Word* from = folded.data() + ri * words;
     for (std::size_t w = 0; w < words; ++w) to[w] |= from[w];
   }
+  return folded;
+}
+
+std::vector<BitVector::Word> region_sibling_rows(
+    const Graph& g, std::span<const BitVector::Word> direct,
+    std::size_t words) {
+  using Word = BitVector::Word;
+  std::size_t num_regions = g.num_regions();
+  std::vector<Word> folded = region_subtree_rows(g, direct, words);
   std::vector<Word> siblings(num_regions * words, 0);
   for (std::size_t ri = 1; ri < num_regions; ++ri) {
     RegionId r(static_cast<RegionId::underlying>(ri));
@@ -112,6 +121,48 @@ std::vector<BitVector::Word> region_sibling_rows(
     }
   }
   return siblings;
+}
+
+std::vector<BitVector::Word> region_write_rows(const Graph& g,
+                                               std::size_t words) {
+  std::vector<BitVector::Word> write(g.num_regions() * words, 0);
+  for (NodeId n : g.all_nodes()) {
+    const Node& node = g.node(n);
+    if (node.kind == NodeKind::kAssign) {
+      BitVector::set_bit(write.data() + node.region.index() * words,
+                         node.lhs.index());
+    }
+  }
+  return write;
+}
+
+BitVector contested_vars(const Graph& g) {
+  using Word = BitVector::Word;
+  BitVector contested(g.num_vars());
+  const std::size_t words = contested.word_count();
+  std::vector<Word> write = region_write_rows(g, words);
+  // Every write is an access; add the reads.
+  std::vector<Word> access = write;
+  for (NodeId n : g.all_nodes()) {
+    const Node& node = g.node(n);
+    Word* access_row = access.data() + node.region.index() * words;
+    auto touch = [access_row](VarId v) {
+      BitVector::set_bit(access_row, v.index());
+    };
+    if (node.kind == NodeKind::kAssign) {
+      node.rhs.for_each_var(touch);
+    } else if (node.kind == NodeKind::kTest) {
+      node.cond->for_each_var(touch);
+    }
+  }
+  std::vector<Word> sibling_access = region_sibling_rows(g, access, words);
+  avector<Word>& out = contested.words();
+  for (std::size_t r = 0; r < g.num_regions(); ++r) {
+    for (std::size_t w = 0; w < words; ++w) {
+      out[w] |= write[r * words + w] & sibling_access[r * words + w];
+    }
+  }
+  return contested;
 }
 
 }  // namespace parcm

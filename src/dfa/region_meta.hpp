@@ -8,9 +8,10 @@
 // folds children into parents and one forward scan pushes NonDest down the
 // nesting tree; neither materializes nodes_in_region_recursive.
 //
-// The may-analyses (parallel liveness, sinking's contested variables) use
-// the dual of NonDest on flat word matrices: what a sibling component, at
-// any nesting level, may do while a region runs.
+// The may-analyses (parallel liveness, the contested variables of sinking
+// and constant propagation) use the dual of NonDest on flat word matrices:
+// what a sibling component, at any nesting level, may do while a region
+// runs.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +42,29 @@ std::vector<char> region_nondest_flags(
     const Graph& g, const std::vector<char>& region_destroy);
 
 // Flat may-flavour over R x `words` row-major word matrices: `direct` holds
-// one row per region for its own member nodes. Row r of the result is the
-// union of the recursive rows (subtree folded in) of every sibling
+// one row per region for its own member nodes.
+//
+// Subtree rows: row r is the union of the direct rows of r and of every
+// region nested in it.
+std::vector<BitVector::Word> region_subtree_rows(
+    const Graph& g, std::span<const BitVector::Word> direct,
+    std::size_t words);
+
+// Sibling rows: row r is the union of the subtree rows of every sibling
 // component of r and of each of r's enclosing components; the root's row
 // is empty.
 std::vector<BitVector::Word> region_sibling_rows(
     const Graph& g, std::span<const BitVector::Word> direct,
     std::size_t words);
+
+// Row r: the variables assigned by r's own member nodes, over `words`
+// words per row.
+std::vector<BitVector::Word> region_write_rows(const Graph& g,
+                                               std::size_t words);
+
+// Variables with a potentially-parallel (write, access) pair: a node's
+// write conflicts with an access anywhere in a sibling component of its
+// region, at any nesting level.
+BitVector contested_vars(const Graph& g);
 
 }  // namespace parcm

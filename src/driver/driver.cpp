@@ -47,24 +47,24 @@ Pipeline make_batch_pipeline(const std::string& name) {
   if (name == "pcm") {
     p.add_pcm().add_validate();
   } else if (name == "naive") {
-    p.add("naive", [](const Graph& g, std::size_t* actions) {
+    p.add("naive", [](Graph& g, std::size_t* actions) {
       MotionResult r = naive_parallel_code_motion(g);
       *actions = r.num_insertions() + r.num_replacements();
-      return std::move(r.graph);
+      g = std::move(r.graph);
     });
     p.add_validate();
   } else if (name == "bcm") {
-    p.add("bcm", [](const Graph& g, std::size_t* actions) {
+    p.add("bcm", [](Graph& g, std::size_t* actions) {
       MotionResult r = busy_code_motion(g);
       *actions = r.num_insertions() + r.num_replacements();
-      return std::move(r.graph);
+      g = std::move(r.graph);
     });
     p.add_validate();
   } else if (name == "lcm") {
-    p.add("lcm", [](const Graph& g, std::size_t* actions) {
+    p.add("lcm", [](Graph& g, std::size_t* actions) {
       MotionResult r = lazy_code_motion(g);
       *actions = r.num_insertions() + r.num_replacements();
-      return std::move(r.graph);
+      g = std::move(r.graph);
     });
     p.add_validate();
   } else if (name == "sinking") {

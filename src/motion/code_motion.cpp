@@ -562,12 +562,6 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
   PARCM_OBS_COUNT("motion.terms_moved", res.terms.size());
   PARCM_OBS_COUNT("motion.insertions", res.num_insertions());
   PARCM_OBS_COUNT("motion.replacements", res.num_replacements());
-  for (const TermMotion& m : res.terms) {
-    std::string prefix = "motion.term." + out.var_name(m.temp);
-    PARCM_OBS_COUNT(prefix + ".insertions", m.insert_nodes.size());
-    PARCM_OBS_COUNT(prefix + ".replacements", m.replaced.size());
-    PARCM_OBS_COUNT(prefix + ".bridges", m.bridge_nodes.size());
-  }
   return res;
 }
 

@@ -1,5 +1,6 @@
 #include "motion/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -15,6 +16,13 @@
 #include "support/diagnostics.hpp"
 
 namespace parcm {
+
+std::uint64_t PassStats::counter(std::string_view name) const {
+  auto it = std::lower_bound(
+      counters.begin(), counters.end(), name,
+      [](const auto& entry, std::string_view n) { return entry.first < n; });
+  return it != counters.end() && it->first == name ? it->second : 0;
+}
 
 std::string PipelineResult::to_string() const {
   std::size_t name_width = 4;  // "pass"
@@ -76,42 +84,44 @@ std::string PipelineResult::to_json(bool pretty) const {
 }
 
 Pipeline& Pipeline::add(std::string name, PassFn pass) {
-  passes_.push_back(Pass{std::move(name), std::move(pass)});
+  std::string wall_hist = "pipeline.pass_wall_ns." + name;
+  passes_.push_back(Pass{std::move(name), std::move(wall_hist),
+                         std::move(pass)});
   return *this;
 }
 
 Pipeline& Pipeline::add_pcm() {
-  return add("pcm", [](const Graph& g, std::size_t* actions) {
+  return add("pcm", [](Graph& g, std::size_t* actions) {
     MotionResult r = parallel_code_motion(g);
     *actions = r.num_insertions() + r.num_replacements();
-    return std::move(r.graph);
+    g = std::move(r.graph);
   });
 }
 
 Pipeline& Pipeline::add_constprop() {
-  return add("constprop", [](const Graph& g, std::size_t* actions) {
+  return add("constprop", [](Graph& g, std::size_t* actions) {
     ConstPropResult r = propagate_constants(g);
     *actions = r.operands_folded + r.rhs_folded;
-    return std::move(r.graph);
+    g = std::move(r.graph);
   });
 }
 
 Pipeline& Pipeline::add_dce(std::vector<std::string> observed) {
-  return add("dce", [observed = std::move(observed)](const Graph& g,
+  return add("dce", [observed = std::move(observed)](Graph& g,
                                                      std::size_t* actions) {
     DceOptions opts;
     opts.observed = observed;
     DceResult r = eliminate_dead_assignments(g, opts);
     *actions = r.eliminated.size();
-    return std::move(r.graph);
+    g = std::move(r.graph);
   });
 }
 
 Pipeline& Pipeline::add_sinking() {
-  return add("sinking", [](const Graph& g, std::size_t* actions) {
+  return add("sinking", [](Graph& g, std::size_t* actions) {
     SinkingResult r = sink_partially_dead_assignments(g);
     *actions = r.sunk.size();
-    return std::move(r.graph);
+    g = std::move(r.graph);
   });
 }
 
@@ -119,7 +129,7 @@ Pipeline& Pipeline::add_validate() {
   // Remember which pass this check guards so a failure names the culprit.
   std::string after = passes_.empty() ? std::string("(input)")
                                       : passes_.back().name;
-  return add("validate", [after](const Graph& g, std::size_t* actions) {
+  return add("validate", [after](Graph& g, std::size_t* actions) {
     try {
       validate_or_throw(g);
     } catch (const InternalError& e) {
@@ -127,7 +137,6 @@ Pipeline& Pipeline::add_validate() {
                           "': " + e.what());
     }
     *actions = 0;
-    return g;
   });
 }
 
@@ -144,10 +153,9 @@ Pipeline& Pipeline::on_pass_start(std::function<void(const std::string&)> hook) 
 PipelineResult Pipeline::run(const Graph& g) const {
   PARCM_OBS_TIMER("pipeline.run");
   PipelineResult res{g, {}, {}};
-  // Reused across passes: after the first pass the snapshot allocates
-  // nothing, keeping the pipeline's allocation count independent of how
-  // many counters the ambient registry has accumulated.
-  obs::CounterBaseline counter_base;
+  // Counter values at the start of the current pass, one per slot; reused
+  // across passes.
+  std::vector<std::uint64_t> counters_before;
   for (const Pass& pass : passes_) {
     if (pass_start_hook_) pass_start_hook_(pass.name);
     PassStats stats;
@@ -155,7 +163,7 @@ PipelineResult Pipeline::run(const Graph& g) const {
     stats.nodes_before = res.graph.num_nodes();
     PARCM_OBS_FLIGHT(obs::FlightKind::kPassStart, pass.name,
                      stats.nodes_before, 0);
-    counter_base.snapshot(obs::registry());
+    obs::registry().counter_values(&counters_before);
     std::size_t remarks_before = obs::remarks().size();
     auto start = std::chrono::steady_clock::now();
     std::size_t actions = 0;
@@ -163,19 +171,18 @@ PipelineResult Pipeline::run(const Graph& g) const {
       // Remarks emitted by the pass body default to this pass's name (inner
       // scopes — e.g. pcm inside the pcm pass — take precedence).
       PARCM_OBS_REMARK_PASS(pass.name);
-      res.graph = pass.fn(res.graph, &actions);
+      pass.fn(res.graph, &actions);
     }
     auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - start)
                   .count();
     stats.wall_ms = static_cast<double>(ns) / 1e6;
     PARCM_OBS_HIST("pipeline.pass_wall_ns", static_cast<std::uint64_t>(ns));
-    PARCM_OBS_HIST(std::string("pipeline.pass_wall_ns.") + pass.name,
-                   static_cast<std::uint64_t>(ns));
+    PARCM_OBS_HIST(pass.wall_hist, static_cast<std::uint64_t>(ns));
     PARCM_OBS_FLIGHT(obs::FlightKind::kPassEnd, pass.name,
                      static_cast<std::uint64_t>(ns), actions);
     // Attribute the registry counters the pass moved to this PassStats.
-    counter_base.deltas_since(obs::registry(), &stats.counters);
+    obs::registry().counter_deltas(counters_before, &stats.counters);
     stats.nodes_after = res.graph.num_nodes();
     stats.actions = actions;
     stats.remarks = obs::remarks().size() - remarks_before;
@@ -198,7 +205,7 @@ PipelineResult Pipeline::run(const Graph& g) const {
     stats.wall_ms = static_cast<double>(ns) / 1e6;
     stats.actions = res.validation->status == verify::Status::kDiverged;
     PARCM_OBS_COUNT("verify.pipeline.validations", 1);
-    PARCM_OBS_HIST(std::string("pipeline.pass_wall_ns.") + stats.name,
+    PARCM_OBS_HIST("pipeline.pass_wall_ns.differential-validate",
                    static_cast<std::uint64_t>(ns));
     PARCM_OBS_FLIGHT(obs::FlightKind::kOracleVerdict, stats.name,
                      res.validation->original_behaviours,

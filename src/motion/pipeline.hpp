@@ -8,12 +8,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/graph.hpp"
+#include "obs/metrics.hpp"
 #include "verify/verify.hpp"
 
 namespace parcm {
@@ -27,12 +28,15 @@ struct PassStats {
   // Wall-clock time of the pass.
   double wall_ms = 0.0;
   // Delta of every obs::Registry counter the pass moved (solver
-  // relaxations, per-term motion counts, ...). Empty when the library is
-  // built with PARCM_OBS=OFF.
-  std::map<std::string, std::uint64_t> counters;
+  // relaxations, motion counts, ...), sorted by name. Empty when the
+  // library is built with PARCM_OBS=OFF.
+  obs::CounterDeltas counters;
   // Optimization remarks the pass emitted into the global obs::remarks()
   // sink (zero when the sink is disabled or PARCM_OBS=OFF).
   std::size_t remarks = 0;
+
+  // The pass's delta of counter `name`; 0 when the pass did not move it.
+  std::uint64_t counter(std::string_view name) const;
 };
 
 struct PipelineResult {
@@ -54,7 +58,9 @@ struct PipelineResult {
 
 class Pipeline {
  public:
-  using PassFn = std::function<Graph(const Graph&, std::size_t* actions)>;
+  // A pass transforms the graph in place and stores its headline number
+  // in *actions.
+  using PassFn = std::function<void(Graph&, std::size_t* actions)>;
 
   Pipeline& add(std::string name, PassFn pass);
 
@@ -84,6 +90,8 @@ class Pipeline {
  private:
   struct Pass {
     std::string name;
+    // "pipeline.pass_wall_ns.<name>", built once in add().
+    std::string wall_hist;
     PassFn fn;
   };
   std::vector<Pass> passes_;

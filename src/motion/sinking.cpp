@@ -15,40 +15,6 @@ namespace parcm {
 
 namespace {
 
-// Variables with a potentially-parallel (write, access) pair: a node's
-// write conflicts with an access anywhere in a sibling component of its
-// region, at any nesting level.
-BitVector contested_vars(const Graph& g) {
-  using Word = BitVector::Word;
-  BitVector contested(g.num_vars());
-  const std::size_t words = contested.word_count();
-  std::vector<Word> access(g.num_regions() * words, 0);
-  std::vector<Word> write(g.num_regions() * words, 0);
-  for (NodeId n : g.all_nodes()) {
-    const Node& node = g.node(n);
-    Word* access_row = access.data() + node.region.index() * words;
-    auto touch = [access_row](VarId v) {
-      BitVector::set_bit(access_row, v.index());
-    };
-    if (node.kind == NodeKind::kAssign) {
-      touch(node.lhs);
-      BitVector::set_bit(write.data() + node.region.index() * words,
-                         node.lhs.index());
-      node.rhs.for_each_var(touch);
-    } else if (node.kind == NodeKind::kTest) {
-      node.cond->for_each_var(touch);
-    }
-  }
-  std::vector<Word> sibling_access = region_sibling_rows(g, access, words);
-  avector<Word>& out = contested.words();
-  for (std::size_t r = 0; r < g.num_regions(); ++r) {
-    for (std::size_t w = 0; w < words; ++w) {
-      out[w] |= write[r * words + w] & sibling_access[r * words + w];
-    }
-  }
-  return contested;
-}
-
 class Sinker {
  public:
   explicit Sinker(Graph& g) : g_(g), observed_(g.num_vars(), true) {}

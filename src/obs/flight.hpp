@@ -39,7 +39,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"  // PARCM_OBS_ENABLED
+#include "obs/metrics.hpp"  // PARCM_OBS_ENABLED, PARCM_OBS_UNEVALUATED
 
 namespace parcm::obs {
 
@@ -153,5 +153,6 @@ FlightRecorder& flight();
     }                                                             \
   } while (0)
 #else
-#define PARCM_OBS_FLIGHT(kind, label, a, b) ((void)0)
+#define PARCM_OBS_FLIGHT(kind, label, a, b) \
+  PARCM_OBS_UNEVALUATED((kind), (label), (a), (b))
 #endif

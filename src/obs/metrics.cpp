@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <deque>
 #include <sstream>
+#include <unordered_map>
 
 #include "obs/json.hpp"
 
@@ -15,7 +17,46 @@ Registry default_registry;
 std::atomic<Registry*> current_registry{&default_registry};
 thread_local Registry* thread_registry = nullptr;
 
+// The process-wide counter-name table. Append-only: a slot keeps its name
+// for the rest of the process, and deque elements never move, so the
+// interned strings can be handed out by pointer. Never destroyed, so
+// counters added from static destructors still resolve.
+struct CounterTable {
+  std::mutex mu;
+  std::deque<std::string> names;
+  std::unordered_map<std::string_view, std::uint32_t> slots;
+};
+
+CounterTable& counter_table() {
+  static CounterTable* table = new CounterTable;
+  return *table;
+}
+
+// Slot of an already interned name; false when it was never interned (so
+// no registry can hold it).
+bool find_counter_slot(std::string_view name, std::uint32_t* slot) {
+  CounterTable& table = counter_table();
+  std::lock_guard<std::mutex> lock(table.mu);
+  auto it = table.slots.find(name);
+  if (it == table.slots.end()) return false;
+  *slot = it->second;
+  return true;
+}
+
 }  // namespace
+
+CounterKey intern_counter(std::string_view name) {
+  CounterTable& table = counter_table();
+  std::lock_guard<std::mutex> lock(table.mu);
+  auto it = table.slots.find(name);
+  if (it != table.slots.end()) {
+    return {it->second, &table.names[it->second]};
+  }
+  const std::string& stored = table.names.emplace_back(name);
+  auto slot = static_cast<std::uint32_t>(table.names.size() - 1);
+  table.slots.emplace(stored, slot);
+  return {slot, &stored};
+}
 
 Registry& registry() {
   if (thread_registry) return *thread_registry;
@@ -79,14 +120,18 @@ Histogram Histogram::from_serialized(
   return h;
 }
 
-void Registry::add_counter(std::string_view name, std::uint64_t delta) {
+void Registry::add_counter(const CounterKey& key, std::uint64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    counters_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
+  if (key.slot >= counter_values_.size()) {
+    counter_values_.resize(key.slot + 1, 0);
+    counter_names_.resize(key.slot + 1, nullptr);
   }
+  counter_values_[key.slot] += delta;
+  counter_names_[key.slot] = key.name;
+}
+
+void Registry::add_counter(std::string_view name, std::uint64_t delta) {
+  add_counter(intern_counter(name), delta);
 }
 
 void Registry::set_gauge(std::string_view name, double value) {
@@ -137,7 +182,13 @@ void Registry::add_timer_stat(std::string_view name, const TimerStat& stat) {
 
 std::map<std::string, std::uint64_t> Registry::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {counters_.begin(), counters_.end()};
+  std::map<std::string, std::uint64_t> out;
+  for (std::size_t s = 0; s < counter_names_.size(); ++s) {
+    if (counter_names_[s] != nullptr) {
+      out.emplace(*counter_names_[s], counter_values_[s]);
+    }
+  }
+  return out;
 }
 
 std::map<std::string, double> Registry::gauges() const {
@@ -156,9 +207,10 @@ std::map<std::string, Histogram> Registry::histograms() const {
 }
 
 std::uint64_t Registry::counter(std::string_view name) const {
+  std::uint32_t slot = 0;
+  if (!find_counter_slot(name, &slot)) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  return slot < counter_values_.size() ? counter_values_[slot] : 0;
 }
 
 Histogram Registry::histogram(std::string_view name) const {
@@ -167,42 +219,58 @@ Histogram Registry::histogram(std::string_view name) const {
   return it == histograms_.end() ? Histogram{} : it->second;
 }
 
-void CounterBaseline::snapshot(const Registry& r) {
-  entries_.clear();
-  std::lock_guard<std::mutex> lock(r.mu_);
-  entries_.reserve(r.counters_.size());
-  for (const auto& [name, value] : r.counters_) {
-    entries_.emplace_back(&name, value);
-  }
+void Registry::counter_values(std::vector<std::uint64_t>* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  out->assign(counter_values_.begin(), counter_values_.end());
 }
 
-void CounterBaseline::deltas_since(
-    const Registry& r, std::map<std::string, std::uint64_t>* out) const {
-  std::lock_guard<std::mutex> lock(r.mu_);
-  // Merge join on the map nodes themselves: baseline keys are a subset of
-  // the current keys (counters are never erased individually) and both
-  // sequences are in map order, so a pointer compare suffices — no string
-  // comparisons, no temporary map.
-  auto base = entries_.begin();
-  for (const auto& [name, value] : r.counters_) {
-    std::uint64_t before = 0;
-    if (base != entries_.end() && base->first == &name) {
-      before = base->second;
-      ++base;
+void Registry::counter_deltas(std::span<const std::uint64_t> before,
+                              CounterDeltas* deltas) const {
+  const std::size_t first = deltas->size();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto before_at = [&](std::size_t s) {
+      return s < before.size() ? before[s] : std::uint64_t{0};
+    };
+    std::size_t moved = 0;
+    for (std::size_t s = 0; s < counter_values_.size(); ++s) {
+      moved += counter_values_[s] != before_at(s);
     }
-    if (value != before) (*out)[name] += value - before;
+    deltas->reserve(first + moved);
+    for (std::size_t s = 0; s < counter_values_.size(); ++s) {
+      if (counter_values_[s] != before_at(s)) {
+        deltas->emplace_back(*counter_names_[s],
+                             counter_values_[s] - before_at(s));
+      }
+    }
   }
+  std::sort(deltas->begin() + static_cast<std::ptrdiff_t>(first),
+            deltas->end());
 }
 
 void Registry::merge_from(const Registry& other) {
   // Snapshot first: locking both registries at once invites deadlock, and
   // merge sources are quiescent per-worker registries anyway.
-  auto counters = other.counters();
+  std::vector<std::uint64_t> counter_values;
+  std::vector<const std::string*> counter_names;
+  {
+    std::lock_guard<std::mutex> lock(other.mu_);
+    counter_values = other.counter_values_;
+    counter_names = other.counter_names_;
+  }
   auto gauges = other.gauges();
   auto timers = other.timers();
   auto histograms = other.histograms();
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [k, v] : counters) counters_[k] += v;
+  if (counter_names.size() > counter_names_.size()) {
+    counter_values_.resize(counter_names.size(), 0);
+    counter_names_.resize(counter_names.size(), nullptr);
+  }
+  for (std::size_t s = 0; s < counter_names.size(); ++s) {
+    if (counter_names[s] == nullptr) continue;
+    counter_values_[s] += counter_values[s];
+    counter_names_[s] = counter_names[s];
+  }
   for (const auto& [k, v] : gauges) gauges_[k] = v;
   for (const auto& [k, v] : timers) {
     TimerStat& t = timers_[k];
@@ -214,7 +282,8 @@ void Registry::merge_from(const Registry& other) {
 
 void Registry::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
+  counter_values_.clear();
+  counter_names_.clear();
   gauges_.clear();
   timers_.clear();
   histograms_.clear();
@@ -222,8 +291,9 @@ void Registry::clear() {
 
 bool Registry::empty() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_.empty() && gauges_.empty() && timers_.empty() &&
-         histograms_.empty();
+  return std::all_of(counter_names_.begin(), counter_names_.end(),
+                     [](const std::string* name) { return name == nullptr; }) &&
+         gauges_.empty() && timers_.empty() && histograms_.empty();
 }
 
 std::string Registry::to_string() const {

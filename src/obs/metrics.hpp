@@ -5,7 +5,14 @@
 // latency histograms (fixed log-2 bucketing, mergeable, p50/p90/p99
 // summaries). The library reports into the installed global registry
 // through the PARCM_OBS_* macros below; hot loops accumulate locally and
-// report once per call, so a mutex-protected map is plenty.
+// report once per call.
+//
+// Counters are addressed by slot: a process-wide, append-only table interns
+// every counter name once, and each Registry keeps its counter values in a
+// flat vector indexed by slot. PARCM_OBS_COUNT resolves its name on first
+// use and then costs a vector add under the registry's mutex. Its name must
+// be a compile-time constant, so the number of counter names — and with it
+// every registry — is bounded by the source, whatever the corpus.
 //
 // Instrumentation call sites compile to nothing when PARCM_OBS_ENABLED is 0
 // (set library-wide by the PARCM_OBS=OFF CMake configuration); the classes
@@ -20,6 +27,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -111,10 +119,45 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-class CounterBaseline;
+// An interned counter name: its slot in every Registry.
+struct CounterKey {
+  std::uint32_t slot = 0;
+  // The interned name; it lives as long as the process.
+  const std::string* name = nullptr;
+};
+
+// The key of `name`, interned on first use. Thread-safe; the table only
+// grows, so a key stays valid for the rest of the process.
+CounterKey intern_counter(std::string_view name);
+
+// A counter name as a template argument. Only a constant expression can
+// initialize one, so a name built at run time (per program, per term) does
+// not compile where the counter macro expects a CounterName.
+template <std::size_t N>
+struct CounterName {
+  char chars[N];
+  constexpr CounterName(const char (&name)[N]) {
+    for (std::size_t i = 0; i < N; ++i) chars[i] = name[i];
+  }
+  constexpr std::string_view view() const { return {chars, N - 1}; }
+};
+
+// The key of `Name`, interned on the first call and cached after it.
+template <CounterName Name>
+const CounterKey& counter_key() {
+  static const CounterKey key = intern_counter(Name.view());
+  return key;
+}
+
+// (name, delta) pairs sorted by name, as Registry::counter_deltas reports
+// them; the names are interned.
+using CounterDeltas = std::vector<std::pair<std::string_view, std::uint64_t>>;
 
 class Registry {
  public:
+  void add_counter(const CounterKey& key, std::uint64_t delta = 1);
+  // Interns `name` first: for names that only exist at run time, such as
+  // the counters of a report being re-emitted.
   void add_counter(std::string_view name, std::uint64_t delta = 1);
   void set_gauge(std::string_view name, double value);
   void add_timer_ns(std::string_view name, std::uint64_t ns);
@@ -127,6 +170,8 @@ class Registry {
   void add_timer_stat(std::string_view name, const TimerStat& stat);
 
   // Snapshots, lexicographically ordered by name (stable across runs).
+  // counters() lists every counter this registry was asked to add to, also
+  // with a zero delta.
   std::map<std::string, std::uint64_t> counters() const;
   std::map<std::string, double> gauges() const;
   std::map<std::string, TimerStat> timers() const;
@@ -136,6 +181,15 @@ class Registry {
   std::uint64_t counter(std::string_view name) const;
   // Single histogram snapshot; empty (count 0) when absent.
   Histogram histogram(std::string_view name) const;
+
+  // Per-region counter attribution without names or maps: copy the value
+  // of every slot into `out` (reusing its capacity) before the region, and
+  // afterwards append to `deltas` each counter whose value differs from
+  // `before` (slots past its end count from 0), sorted by name. Assumes the
+  // registry was not cleared in between.
+  void counter_values(std::vector<std::uint64_t>* out) const;
+  void counter_deltas(std::span<const std::uint64_t> before,
+                      CounterDeltas* deltas) const;
 
   // Adds every metric of `other` into this registry: counters, timers and
   // histograms sum, gauges take `other`'s value. The batch driver uses this
@@ -157,40 +211,16 @@ class Registry {
   std::string to_json(bool pretty = false) const;
 
  private:
-  friend class CounterBaseline;
-
+  // The mutex also guards the counter slots: a registry can be shared with
+  // helper threads (ThreadBindingsScope).
   mutable std::mutex mu_;
-  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  // Indexed by CounterKey::slot; a null name marks a slot this registry was
+  // never asked to add to.
+  std::vector<std::uint64_t> counter_values_;
+  std::vector<const std::string*> counter_names_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, TimerStat, std::less<>> timers_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-};
-
-// Reusable, allocation-light baseline for measuring which counters a code
-// region moved. `Registry::counters()` copies the whole map — one node plus
-// one string allocation per entry — so measuring per-pass deltas that way
-// makes the caller's allocation profile scale with how many counters the
-// registry has accumulated (in the batch driver, allocs-per-program grew
-// with worker tenure). A baseline instead records pointers to the
-// registry's own map keys (std::map nodes are pointer-stable under
-// insertion) next to the observed values; re-snapshotting reuses the entry
-// vector, so a steady-state caller pays zero allocations per measurement.
-//
-// Constraint: deltas_since() assumes no counter was erased since
-// snapshot() — Registry only removes counters via clear(), so any region
-// that does not clear the registry is safe.
-class CounterBaseline {
- public:
-  // Records the current counter values of `r`, dropping previous contents.
-  void snapshot(const Registry& r);
-
-  // For every counter of `r` that changed (or appeared) since snapshot(),
-  // adds (name, delta) into `out`.
-  void deltas_since(const Registry& r,
-                    std::map<std::string, std::uint64_t>* out) const;
-
- private:
-  std::vector<std::pair<const std::string*, std::uint64_t>> entries_;
 };
 
 // The registry the macros report into: the calling thread's override when
@@ -245,9 +275,23 @@ class ScopedTimer {
 #define PARCM_OBS_CONCAT_IMPL(a, b) a##b
 #define PARCM_OBS_CONCAT(a, b) PARCM_OBS_CONCAT_IMPL(a, b)
 
+namespace parcm::obs::detail {
+// Never defined: the OFF-mode macros name it only inside sizeof.
+template <class... Args>
+int unevaluated(const Args&...);
+}  // namespace parcm::obs::detail
+
+// A compiled-out instrumentation call: its arguments are type-checked and
+// count as used, so variables that only feed instrumentation raise no
+// warnings in the PARCM_OBS=OFF build, but nothing is evaluated.
+#define PARCM_OBS_UNEVALUATED(...) \
+  ((void)sizeof(::parcm::obs::detail::unevaluated(__VA_ARGS__)))
+
 #if PARCM_OBS_ENABLED
-#define PARCM_OBS_COUNT(name, delta) \
-  ::parcm::obs::registry().add_counter((name), (delta))
+// `name` must be a string literal (see CounterName).
+#define PARCM_OBS_COUNT(name, delta)                                  \
+  ::parcm::obs::registry().add_counter(::parcm::obs::counter_key<name>(), \
+                                       (delta))
 #define PARCM_OBS_GAUGE(name, value) \
   ::parcm::obs::registry().set_gauge((name), (value))
 #define PARCM_OBS_TIMER(name) \
@@ -255,8 +299,9 @@ class ScopedTimer {
 #define PARCM_OBS_HIST(name, value) \
   ::parcm::obs::registry().record_hist((name), (value))
 #else
-#define PARCM_OBS_COUNT(name, delta) ((void)0)
-#define PARCM_OBS_GAUGE(name, value) ((void)0)
-#define PARCM_OBS_TIMER(name) ((void)0)
-#define PARCM_OBS_HIST(name, value) ((void)0)
+#define PARCM_OBS_COUNT(name, delta) \
+  PARCM_OBS_UNEVALUATED(::parcm::obs::counter_key<name>(), (delta))
+#define PARCM_OBS_GAUGE(name, value) PARCM_OBS_UNEVALUATED((name), (value))
+#define PARCM_OBS_TIMER(name) PARCM_OBS_UNEVALUATED(name)
+#define PARCM_OBS_HIST(name, value) PARCM_OBS_UNEVALUATED((name), (value))
 #endif

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "obs/alloc.hpp"    // ForeignAllocSink, thread_alloc_count
-#include "obs/metrics.hpp"  // PARCM_OBS_ENABLED, PARCM_OBS_CONCAT
+#include "obs/metrics.hpp"  // PARCM_OBS_ENABLED and the macro helpers
 #include "obs/trace.hpp"    // TraceThreadScope
 
 namespace parcm::obs {
@@ -278,6 +278,6 @@ class RemarkPassScope {
       parcm_obs_remark_pass_, __LINE__)(name)
 #else
 #define PARCM_OBS_REMARKS_ON() (false)
-#define PARCM_OBS_REMARK(...) ((void)0)
-#define PARCM_OBS_REMARK_PASS(name) ((void)0)
+#define PARCM_OBS_REMARK(...) PARCM_OBS_UNEVALUATED(__VA_ARGS__)
+#define PARCM_OBS_REMARK_PASS(name) PARCM_OBS_UNEVALUATED(name)
 #endif

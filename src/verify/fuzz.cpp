@@ -222,10 +222,10 @@ Graph apply_named_pipeline(const std::string& name, const Graph& g,
     if (name == "naive") config.variant = SafetyVariant::kNaive;
     if (name != "full") return run_code_motion(g, config).graph;
     Pipeline p;
-    p.add("pcm", [config](const Graph& in, std::size_t* actions) {
+    p.add("pcm", [config](Graph& in, std::size_t* actions) {
       MotionResult r = run_code_motion(in, config);
       *actions = r.num_insertions() + r.num_replacements();
-      return std::move(r.graph);
+      in = std::move(r.graph);
     });
     p.add_validate().add_constprop().add_validate().add_sinking()
         .add_validate().add_dce().add_validate();

@@ -220,6 +220,30 @@ TEST(BatchDeterminism, MergedCountersMatchSequentialRun) {
   EXPECT_EQ(a, b);
 }
 
+// Registry cardinality is bounded by the source, not by the corpus: a
+// batch four times as long reports exactly the same counter names. Each
+// run gets its own cold shared tier, so both see its builds and hits.
+TEST(BatchDeterminism, CounterNamesIndependentOfCorpusSize) {
+  RandomProgramOptions gen = verify::default_fuzz_gen();
+  auto counter_names = [&gen](std::size_t programs) {
+    driver::Manifest m =
+        driver::Manifest::lazy(programs, "gen", [gen](std::size_t i) {
+          return lang::to_source(
+              verify::fuzz_program_pooled(47705, i, 200, gen));
+        });
+    SharedAnalysisCache shared;
+    driver::BatchOptions opt;
+    opt.jobs = 2;
+    opt.shared_cache_instance = &shared;
+    driver::BatchReport report = driver::run_batch(m, opt);
+    EXPECT_EQ(report.totals.done, programs);
+    std::set<std::string> names;
+    for (const auto& [name, value] : report.counters) names.insert(name);
+    return names;
+  };
+  EXPECT_EQ(counter_names(250), counter_names(1000));
+}
+
 TEST(BatchDeterminism, TraceEnabledRunsStayByteIdentical) {
 #if PARCM_OBS_ENABLED
   // Tracing records wall times, but none of them may leak into the

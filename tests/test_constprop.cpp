@@ -135,6 +135,41 @@ TEST(ConstProp, SharedReadOnlyVariableFolds) {
   EXPECT_TRUE(b_folded);
 }
 
+TEST(ConstProp, NestedParallelStatements) {
+  // Depth-2 nesting. y is written in a component nested in the first
+  // outer component and read in one nested in the second: contested across
+  // levels. a and b are written only under the first outer component, so
+  // the outer join takes their values from its exit and d folds.
+  Graph g = lang::compile_or_throw(R"(
+    par {
+      par { a := 2; } and { y := 5; }
+      b := a + 1;
+    } and {
+      par { c := 4; } and { z := y; }
+    }
+    d := a + b;
+  )");
+  ConstPropAnalysis an = analyze_constants(g);
+  EXPECT_TRUE(an.contested[g.find_var("y")->index()]);
+  for (const char* v : {"a", "b", "c", "d", "z"}) {
+    EXPECT_FALSE(an.contested[g.find_var(v)->index()]) << v;
+  }
+  ConstPropResult r = propagate_constants(g);
+  validate_or_throw(r.graph);
+  bool b_folded = false, d_folded = false, z_unfolded = false;
+  for (NodeId n : r.graph.all_nodes()) {
+    b_folded |= statement_to_string(r.graph, n) == "b := 3";
+    d_folded |= statement_to_string(r.graph, n) == "d := 5";
+    z_unfolded |= statement_to_string(r.graph, n) == "z := y";
+  }
+  EXPECT_TRUE(b_folded);
+  EXPECT_TRUE(d_folded);
+  EXPECT_TRUE(z_unfolded);
+  auto v = check_sequential_consistency(g, r.graph);
+  EXPECT_TRUE(v.sequentially_consistent);
+  EXPECT_TRUE(v.behaviours_preserved);
+}
+
 TEST(ConstProp, TestConditionOperandsFold) {
   Graph g = lang::compile_or_throw("k := 3; if (k < 5) { x := 1; } y := 2;");
   ConstPropResult r = propagate_constants(g);

@@ -26,7 +26,9 @@ TEST(Meta, SecondPcmRunNeverWorseAndConsistent) {
     EnumerationOptions eo;
     eo.atomic_assignments = false;
     auto v = check_sequential_consistency(g, twice, all_var_names(g), eo);
-    if (v.exhausted) EXPECT_TRUE(v.sequentially_consistent) << id;
+    if (v.exhausted) {
+      EXPECT_TRUE(v.sequentially_consistent) << id;
+    }
   }
 }
 

@@ -72,6 +72,46 @@ TEST(Registry, CounterSemantics) {
   EXPECT_TRUE(r.empty());
 }
 
+TEST(Registry, ZeroDeltaListsTheCounter) {
+  // A zero-delta add still creates the entry, as the name-keyed map did;
+  // merge_from carries it over.
+  obs::Registry r;
+  r.add_counter("obs.test.zero", 0);
+  EXPECT_EQ(r.counters(),
+            (std::map<std::string, std::uint64_t>{{"obs.test.zero", 0}}));
+  EXPECT_FALSE(r.empty());
+  obs::Registry merged;
+  merged.merge_from(r);
+  EXPECT_EQ(merged.counters(), r.counters());
+}
+
+TEST(Registry, CounterKeysShareOneSlotPerName) {
+  const obs::CounterKey& key = obs::counter_key<"obs.test.keyed">();
+  EXPECT_EQ(obs::intern_counter("obs.test.keyed").slot, key.slot);
+  EXPECT_EQ(*key.name, "obs.test.keyed");
+  obs::Registry r;
+  r.add_counter(key, 2);
+  r.add_counter("obs.test.keyed", 3);
+  EXPECT_EQ(r.counter("obs.test.keyed"), 5u);
+}
+
+TEST(Registry, CounterDeltasAreSortedByName) {
+  obs::Registry r;
+  r.add_counter("obs.test.delta.b", 1);
+  r.add_counter("obs.test.delta.c", 1);
+  std::vector<std::uint64_t> before;
+  r.counter_values(&before);
+  // Moved, untouched, added with a zero delta, and new since the snapshot.
+  r.add_counter("obs.test.delta.c", 4);
+  r.add_counter("obs.test.delta.b", 0);
+  r.add_counter("obs.test.delta.z", 0);
+  r.add_counter("obs.test.delta.a", 7);
+  obs::CounterDeltas deltas;
+  r.counter_deltas(before, &deltas);
+  EXPECT_EQ(deltas, (obs::CounterDeltas{{"obs.test.delta.a", 7},
+                                        {"obs.test.delta.c", 4}}));
+}
+
 TEST(Registry, GaugeLastWriteWins) {
   obs::Registry r;
   r.set_gauge("blowup", 2.0);

@@ -304,7 +304,9 @@ TEST(PCM, Fig10LoopBodiesBecomeFree) {
     CostResult orig = execution_time(g, l1);
     CostResult moved = execution_time(pcm.graph, l2);
     EXPECT_LE(moved.time, orig.time) << trips;
-    if (trips >= 2) EXPECT_LT(moved.time, orig.time) << trips;
+    if (trips >= 2) {
+      EXPECT_LT(moved.time, orig.time) << trips;
+    }
   }
 }
 

@@ -39,10 +39,9 @@ TEST(Pipeline, CustomPass) {
   Graph g = lang::compile_or_throw("x := 1;");
   Pipeline p;
   bool ran = false;
-  p.add("custom", [&ran](const Graph& gr, std::size_t* actions) {
+  p.add("custom", [&ran](Graph&, std::size_t* actions) {
     ran = true;
     *actions = 42;
-    return gr;
   });
   PipelineResult r = p.run(g);
   EXPECT_TRUE(ran);
@@ -124,7 +123,7 @@ TEST(Pipeline, PassStatsCarrySolverCounters) {
   ASSERT_EQ(r.passes[0].name, "pcm");
   // The pcm pass is attributed the solver work it caused, not the whole
   // registry: relaxations land on pcm, liveness on dce.
-  EXPECT_GT(r.passes[0].counters["dfa.packed.relaxations"], 0u);
+  EXPECT_GT(r.passes[0].counter("dfa.packed.relaxations"), 0u);
   EXPECT_GT(r.passes[0].wall_ms, 0.0);
   std::string json = r.to_json();
   EXPECT_NE(json.find("\"passes\""), std::string::npos);
