@@ -120,11 +120,14 @@ void BM_VmCorpus(benchmark::State& state) {
 BENCHMARK(BM_VmCorpus);
 
 // Oracle throughput: the reason the VM oracle exists. One pooled corpus
-// slice is checked by both oracles; the exact checker's wall is measured
-// once up front (it enumerates the full product automaton, so re-running
-// it per iteration would dominate the bench), the VM oracle inside the
-// timed loop. vm_oracle_speedup = exact wall / VM wall per program pair,
-// floor-gated at 5x by check_bench_regression.py.
+// slice of 16 (input, pcm output) pairs, 8 shapes taken twice, is checked
+// by both oracles inside every timed iteration: the exact checker
+// (differential_check, which calls enumerate_executions on both programs)
+// and then the VM oracle. The VM side is not all sampling: one pass over
+// the slice deepens the original's sample 6 times and escalates to a
+// one-sided enumeration twice (counters verify.vm_deepenings and
+// verify.vm_escalations). vm_oracle_speedup = exact wall / VM wall over
+// the slice, floor-gated at 5x by check_bench_regression.py.
 void BM_VmOracleSpeedup(benchmark::State& state) {
   using clock = std::chrono::steady_clock;
   RandomProgramOptions gen = verify::default_fuzz_gen();

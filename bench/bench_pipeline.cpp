@@ -2,7 +2,8 @@
 // two unidirectional bitvector data-flow analyses" and "similarly efficient"
 // to sequential BCM. Measures the full pipeline (join splitting, term
 // collection, both analyses, placement) on random and family programs, and
-// the default pass pipeline per pass on the large-program family.
+// the default pass pipeline per pass on the large-program family and on the
+// pooled batch corpus.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,13 +11,16 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench_support.hpp"
 
+#include "lang/lower.hpp"
 #include "motion/bcm.hpp"
 #include "motion/pcm.hpp"
 #include "motion/pipeline.hpp"
 #include "obs/remarks.hpp"
+#include "verify/fuzz.hpp"
 #include "workload/families.hpp"
 #include "workload/randomprog.hpp"
 
@@ -59,37 +63,71 @@ void BM_PcmPipelineRandom(benchmark::State& state) {
 BENCHMARK(BM_PcmPipelineRandom)->DenseRange(1, 4);
 
 // The default pipeline (pcm -> constprop -> sinking -> dce, validating
-// between passes) on large_family(segments, 1): 202, 802 and 3202 nodes.
-// The *_ms counters are per-pass wall times averaged over the iterations;
-// `relaxations` is one run's motion.liveness.relaxations (sinking's
-// per-candidate liveness solves plus DCE's per-round ones), a deterministic
-// count that check_bench_regression.py gates hard. It comes from the
-// PassStats counter deltas, so it reads 0 when the library is built with
-// PARCM_OBS=OFF.
-void BM_DefaultPipelineLarge(benchmark::State& state) {
-  Graph g =
-      families::large_family(static_cast<std::size_t>(state.range(0)), 1);
+// between passes) over `inputs`, once each per iteration. The *_ms counters
+// are per-pass wall times summed over the inputs and averaged over the
+// iterations. `relaxations` (motion.liveness.relaxations, DCE's per-round
+// liveness solves) and `constprop_relaxations`
+// (analysis.constprop.relaxations) are one iteration's deterministic
+// counts, which check_bench_regression.py gates hard. They come from the
+// PassStats counter deltas, so they read 0 when the library is built with
+// PARCM_OBS=OFF. `constprop_nodes` is the size of the graphs constprop ran
+// on (pcm's output): on a loop-free input the solve relaxes each node at
+// most once.
+void run_default_pipeline(benchmark::State& state,
+                          const std::vector<Graph>& inputs) {
   Pipeline pipeline = default_pipeline();
   std::map<std::string, double> pass_ms;
-  std::uint64_t relaxations = 0;
+  std::uint64_t relaxations = 0, constprop_relaxations = 0;
+  std::size_t constprop_nodes = 0;
   for (auto _ : state) {
-    PipelineResult r = pipeline.run(g);
     relaxations = 0;
-    for (const PassStats& p : r.passes) {
-      pass_ms[p.name] += p.wall_ms;
-      relaxations += p.counter("motion.liveness.relaxations");
+    constprop_relaxations = 0;
+    constprop_nodes = 0;
+    for (const Graph& g : inputs) {
+      PipelineResult r = pipeline.run(g);
+      for (const PassStats& p : r.passes) {
+        pass_ms[p.name] += p.wall_ms;
+        relaxations += p.counter("motion.liveness.relaxations");
+        constprop_relaxations += p.counter("analysis.constprop.relaxations");
+        if (p.name == "constprop") constprop_nodes += p.nodes_before;
+      }
+      benchmark::DoNotOptimize(r.graph.num_nodes());
     }
-    benchmark::DoNotOptimize(r.graph.num_nodes());
   }
   double iterations = static_cast<double>(state.iterations());
   for (const char* pass : {"pcm", "constprop", "sinking", "dce"}) {
     state.counters[std::string(pass) + "_ms"] = pass_ms[pass] / iterations;
   }
-  state.counters["nodes"] = static_cast<double>(g.num_nodes());
+  std::size_t nodes = 0;
+  for (const Graph& g : inputs) nodes += g.num_nodes();
+  state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["relaxations"] = static_cast<double>(relaxations);
+  state.counters["constprop_relaxations"] =
+      static_cast<double>(constprop_relaxations);
+  state.counters["constprop_nodes"] = static_cast<double>(constprop_nodes);
+}
+
+// large_family(segments, 1): 202, 802 and 3202 nodes.
+void BM_DefaultPipelineLarge(benchmark::State& state) {
+  run_default_pipeline(
+      state, {families::large_family(static_cast<std::size_t>(state.range(0)),
+                                     1)});
 }
 BENCHMARK(BM_DefaultPipelineLarge)->Arg(10)->Arg(40)->Arg(160)
     ->Unit(benchmark::kMillisecond);
+
+// The first 200 programs of the pooled batch corpus
+// (fuzz_program_pooled(47705, i, 200): 200 distinct small shapes), the
+// workload of parcm_batch --gen 2000 --gen-shapes 200 --gen-seed 47705.
+void BM_DefaultPipelineCorpus(benchmark::State& state) {
+  std::vector<Graph> inputs;
+  for (std::size_t i = 0; i < 200; ++i) {
+    inputs.push_back(lang::lower(verify::fuzz_program_pooled(
+        47705, i, 200, verify::default_fuzz_gen())));
+  }
+  run_default_pipeline(state, inputs);
+}
+BENCHMARK(BM_DefaultPipelineCorpus)->Unit(benchmark::kMillisecond);
 
 void BM_NaiveVsRefinedAnalysisCost(benchmark::State& state) {
   // The refinements are free: same two passes, only the synchronization

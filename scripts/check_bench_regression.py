@@ -3,7 +3,8 @@
 
 Compares a freshly produced bench run against the committed BENCH_*.json
 baseline(s) and fails when a benchmark got slower than the threshold allows
-or when a deterministic counter (relaxations by default) grew at all.
+or when a deterministic counter (relaxations and constprop_relaxations by
+default) grew at all.
 
 Instead of diffing raw per-size timings — noisy on shared CI runners — the
 gate fits a power-law scaling model t(n) = a * n^b (log-log least squares,
@@ -43,8 +44,11 @@ import os
 import sys
 
 # Counters that are deterministic outputs of the algorithms (not timings);
-# growth in any of these is a hard failure.
-DEFAULT_HARD_COUNTERS = ["relaxations"]
+# growth in any of these is a hard failure. relaxations: worklist pops of
+# the fixpoint solvers (bench_fixpoint) and of DCE's liveness solves
+# (bench_pipeline); constprop_relaxations: the constant-propagation solve's
+# (bench_pipeline).
+DEFAULT_HARD_COUNTERS = ["relaxations", "constprop_relaxations"]
 
 # Absolute bounds on fresh counters, gated independently of any baseline:
 # the shared analysis cache must actually hit on the pooled bench corpus,
@@ -416,7 +420,7 @@ def run_trend(history_dir, fresh_paths, threshold, hard_counters,
     return 0
 
 
-def make_fixture(scale_time=1.0, relaxations=25):
+def make_fixture(scale_time=1.0, relaxations=25, constprop_relaxations=40):
     """A parcm-bench-v1 document with one 3-size family and one singleton."""
     results = []
     for n in (64, 512, 4096):
@@ -426,7 +430,11 @@ def make_fixture(scale_time=1.0, relaxations=25):
                 "iterations": 10,
                 "real_ns_per_iter": scale_time * 100.0 * n,
                 "cpu_ns_per_iter": scale_time * 100.0 * n,
-                "counters": {"relaxations": relaxations, "nodes": n},
+                "counters": {
+                    "relaxations": relaxations,
+                    "constprop_relaxations": constprop_relaxations,
+                    "nodes": n,
+                },
             }
         )
     results.append(
@@ -505,6 +513,7 @@ def self_test(threshold):
     same = write(make_fixture(scale_time=1.04))  # within noise
     slow = write(make_fixture(scale_time=2.0))  # 2x slower: must fail
     more = write(make_fixture(relaxations=26))  # counter grew: must fail
+    more_cp = write(make_fixture(constprop_relaxations=41))  # likewise
 
     failures = []
     if run_gate([base], [same], threshold, DEFAULT_HARD_COUNTERS, False,
@@ -519,6 +528,9 @@ def self_test(threshold):
     if run_gate([base], [more], threshold, DEFAULT_HARD_COUNTERS, True,
                 quiet) != 1:
         failures.append("counter growth accepted")
+    if run_gate([base], [more_cp], threshold, DEFAULT_HARD_COUNTERS, True,
+                quiet) != 1:
+        failures.append("constprop_relaxations growth accepted")
     a, b = fit_power_law([(64, 6400.0), (512, 51200.0), (4096, 409600.0)])
     if not (abs(a - 100.0) < 1e-6 and abs(b - 1.0) < 1e-9):
         failures.append(f"power-law fit off: a={a} b={b}")
@@ -608,7 +620,8 @@ def self_test(threshold):
         failures.append("empty history dir not reported as usage error")
     os.rmdir(empty)
 
-    for path in (base, same, slow, more, batch_ok, batch_cold, batch_fat,
+    for path in (base, same, slow, more, more_cp, batch_ok, batch_cold,
+                 batch_fat,
                  exec_ok, exec_slow, exec_regressed, exec_drift):
         os.unlink(path)
     if failures:
@@ -635,7 +648,7 @@ def main(argv):
     p.add_argument("--counter", action="append", default=[],
                    dest="counters",
                    help="deterministic counter treated as a hard gate "
-                        "(default: relaxations)")
+                        "(default: relaxations, constprop_relaxations)")
     p.add_argument("--advisory-timing", action="store_true",
                    help="report timing regressions without failing; "
                         "deterministic counters still fail hard")

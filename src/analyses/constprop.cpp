@@ -1,12 +1,12 @@
 #include "analyses/constprop.hpp"
 
-#include <deque>
+#include <algorithm>
 
+#include "dfa/direction.hpp"
 #include "dfa/region_meta.hpp"
+#include "dfa/worklist.hpp"
 #include "obs/metrics.hpp"
 #include "semantics/state.hpp"
-#include "support/bitvector.hpp"
-#include "support/diagnostics.hpp"
 
 namespace parcm {
 
@@ -21,12 +21,12 @@ CpValue meet(const CpValue& a, const CpValue& b) {
 
 namespace {
 
-CpValue eval_operand_cp(const Operand& op, const std::vector<CpValue>& state) {
+CpValue eval_operand_cp(const Operand& op, const CpValue* state) {
   if (op.is_const()) return CpValue::constant(op.const_value());
   return state[op.var_id().index()];
 }
 
-CpValue eval_rhs_cp(const Rhs& rhs, const std::vector<CpValue>& state) {
+CpValue eval_rhs_cp(const Rhs& rhs, const CpValue* state) {
   if (rhs.is_trivial()) return eval_operand_cp(rhs.trivial(), state);
   CpValue a = eval_operand_cp(rhs.term().lhs, state);
   CpValue b = eval_operand_cp(rhs.term().rhs, state);
@@ -43,94 +43,97 @@ CpValue eval_rhs_cp(const Rhs& rhs, const std::vector<CpValue>& state) {
 
 }  // namespace
 
+void ConstPropAnalysis::join(NodeId n, CpValue* in) const {
+  const Graph& g = *g_;
+  const std::size_t k = num_vars_;
+  const Node& node = g.node(n);
+  if (n == g.start()) {
+    // The interpreter's initial state: every variable 0.
+    std::fill(in, in + k, CpValue::constant(0));
+  } else if (node.kind == NodeKind::kParEnd) {
+    // Parallel-aware join: an uncontested variable is written by at most
+    // one component; its post-join value is that component's exit value.
+    // Meeting every component's exit would drag the other components'
+    // stale pass-through values in (they never wrote v).
+    const ParStmt& stmt = g.par_stmt(node.par_stmt);
+    for (std::size_t v = 0; v < k; ++v) {
+      RegionId writer;
+      bool multiple = false;
+      for (RegionId comp : stmt.components) {
+        if (BitVector::test_bit(region_write_.data() + comp.index() * words_,
+                                v)) {
+          multiple = writer.valid();
+          writer = comp;
+        }
+      }
+      CpValue value;
+      for (EdgeId e : node.in_edges) {
+        NodeId m = g.edge(e).from;
+        if (!multiple && writer.valid() && g.node(m).region != writer) {
+          continue;
+        }
+        value = meet(value, exit_row(m)[v]);
+      }
+      in[v] = value;
+    }
+  } else if (node.in_edges.empty()) {
+    std::fill(in, in + k, CpValue::undef());
+  } else {
+    // meet(Undef, c) == c, so the first predecessor's exit is copied.
+    const CpValue* first = exit_row(g.edge(node.in_edges[0]).from);
+    std::copy(first, first + k, in);
+    for (std::size_t i = 1; i < node.in_edges.size(); ++i) {
+      const CpValue* exit = exit_row(g.edge(node.in_edges[i]).from);
+      for (std::size_t v = 0; v < k; ++v) in[v] = meet(in[v], exit[v]);
+    }
+  }
+  for (std::size_t v = 0; v < k; ++v) {
+    if (contested[v]) in[v] = CpValue::nonconst();
+  }
+}
+
+void ConstPropAnalysis::entry(NodeId n, std::vector<CpValue>& state) const {
+  state.resize(num_vars_);
+  join(n, state.data());
+}
+
 ConstPropAnalysis analyze_constants(const Graph& g) {
-  std::size_t k = g.num_vars();
+  const std::size_t k = g.num_vars();
   ConstPropAnalysis res;
+  res.g_ = &g;
+  res.num_vars_ = k;
   BitVector contested = contested_vars(g);
   res.contested.assign(k, 0);
   for (std::size_t v = 0; v < k; ++v) res.contested[v] = contested.test(v);
-  // Per region, the variables written anywhere in its subtree: the
-  // parallel-aware join below asks which component writes a variable.
-  const std::size_t words = contested.word_count();
-  std::vector<BitVector::Word> region_write =
-      region_subtree_rows(g, region_write_rows(g, words), words);
+  res.words_ = contested.word_count();
+  res.region_write_ = region_subtree_rows(
+      g, region_write_rows(g, res.words_), res.words_);
 
-  auto clamp = [&](std::vector<CpValue>& state) {
-    for (std::size_t v = 0; v < k; ++v) {
-      if (res.contested[v]) state[v] = CpValue::nonconst();
-    }
-  };
-
-  // Greatest-fixpoint style: start Undef everywhere, seed the start node
-  // with the initial state (all variables 0), iterate to stability.
-  res.entry.assign(g.num_nodes(), std::vector<CpValue>(k));
-  std::vector<std::vector<CpValue>> exit(g.num_nodes(),
-                                         std::vector<CpValue>(k));
-  std::vector<CpValue> init(k, CpValue::constant(0));
-  clamp(init);
-  res.entry[g.start().index()] = init;
-  exit[g.start().index()] = std::move(init);
-
-  std::deque<NodeId> worklist;
-  std::vector<char> queued(g.num_nodes(), 0);
-  for (NodeId m : g.succs(g.start())) {
-    worklist.push_back(m);
-    queued[m.index()] = 1;
-  }
+  // Greatest-fixpoint style: every exit starts Undef, the start node's is
+  // the initial state, and the start node's successors are seeded.
+  res.exit_.assign(g.num_nodes(), std::vector<CpValue>(k));
+  res.join(g.start(), res.exit_[g.start().index()].data());
+  DirectedView view(g, Direction::kForward);
+  Worklist worklist;
+  worklist.reset(g.num_nodes(), WorklistPolicy::kSparseRpo);
+  for (NodeId m : view.dir_succs(g.start())) worklist.push(view.rpo_index(m));
+  std::vector<CpValue> out(k);
   while (!worklist.empty()) {
-    NodeId n = worklist.front();
-    worklist.pop_front();
-    queued[n.index()] = 0;
-
-    std::vector<CpValue> in(k);
-    if (g.node(n).kind == NodeKind::kParEnd) {
-      // Parallel-aware join: an uncontested variable is written by at most
-      // one component; its post-join value is that component's exit value.
-      // Meeting every component's exit would drag the other components'
-      // stale pass-through values in (they never wrote v).
-      for (std::size_t v = 0; v < k; ++v) {
-        RegionId writer;
-        bool multiple = false;
-        const ParStmt& stmt = g.par_stmt(g.node(n).par_stmt);
-        for (RegionId comp : stmt.components) {
-          if (BitVector::test_bit(
-                  region_write.data() + comp.index() * words, v)) {
-            multiple = writer.valid();
-            writer = comp;
-          }
-        }
-        for (NodeId m : g.preds(n)) {
-          if (!multiple && writer.valid() && g.node(m).region != writer) {
-            continue;
-          }
-          in[v] = meet(in[v], exit[m.index()][v]);
-        }
-      }
-    } else {
-      for (NodeId m : g.preds(n)) {
-        for (std::size_t v = 0; v < k; ++v) {
-          in[v] = meet(in[v], exit[m.index()][v]);
-        }
-      }
-    }
-    clamp(in);
-    std::vector<CpValue> out = in;
+    NodeId n = view.rpo_node(worklist.pop());
+    ++res.relaxations_;
+    res.join(n, out.data());
     const Node& node = g.node(n);
-    if (node.kind == NodeKind::kAssign &&
-        !res.contested[node.lhs.index()]) {
-      out[node.lhs.index()] = eval_rhs_cp(node.rhs, in);
+    if (node.kind == NodeKind::kAssign && !res.contested[node.lhs.index()]) {
+      out[node.lhs.index()] = eval_rhs_cp(node.rhs, out.data());
     }
-    clamp(out);
-    if (in == res.entry[n.index()] && out == exit[n.index()]) continue;
-    res.entry[n.index()] = std::move(in);
-    exit[n.index()] = std::move(out);
-    for (NodeId m : g.succs(n)) {
-      if (m != g.start() && !queued[m.index()]) {
-        queued[m.index()] = 1;
-        worklist.push_back(m);
-      }
+    std::vector<CpValue>& exit = res.exit_[n.index()];
+    if (out == exit) continue;
+    exit = out;
+    for (NodeId m : view.dir_succs(n)) {
+      if (m != g.start()) worklist.push(view.rpo_index(m));
     }
   }
+  PARCM_OBS_COUNT("analysis.constprop.relaxations", res.relaxations_);
   return res;
 }
 
@@ -140,7 +143,7 @@ ConstPropResult propagate_constants(const Graph& g) {
   Graph& out = res.graph;
   ConstPropAnalysis cp = analyze_constants(out);
 
-  auto fold_operand = [&](Operand op, const std::vector<CpValue>& state) {
+  auto fold_operand = [&](Operand op, const CpValue* state) {
     if (op.is_var()) {
       CpValue v = state[op.var_id().index()];
       if (v.is_const()) {
@@ -150,29 +153,34 @@ ConstPropResult propagate_constants(const Graph& g) {
     }
     return op;
   };
+  auto fold_rhs = [&](const Rhs& rhs, const CpValue* state) {
+    if (rhs.is_trivial()) return Rhs(fold_operand(rhs.trivial(), state));
+    CpValue whole = eval_rhs_cp(rhs, state);
+    if (whole.is_const()) {
+      ++res.rhs_folded;
+      return Rhs(Operand::constant(whole.value));
+    }
+    Term t = rhs.term();
+    t.lhs = fold_operand(t.lhs, state);
+    t.rhs = fold_operand(t.rhs, state);
+    return Rhs(t);
+  };
 
+  // Folding rewrites right-hand sides only, so the edges and regions the
+  // entry joins read stay as the solve saw them.
+  const Graph& read = out;
+  std::vector<CpValue> state;
   for (NodeId n : out.all_nodes()) {
+    NodeKind kind = read.node(n).kind;
+    if (kind != NodeKind::kAssign && kind != NodeKind::kTest) continue;
+    cp.entry(n, state);
     Node& node = out.node(n);
-    const std::vector<CpValue>& state = cp.entry[n.index()];
-    auto fold_rhs = [&](const Rhs& rhs) {
-      if (rhs.is_trivial()) return Rhs(fold_operand(rhs.trivial(), state));
-      CpValue whole = eval_rhs_cp(rhs, state);
-      if (whole.is_const()) {
-        ++res.rhs_folded;
-        return Rhs(Operand::constant(whole.value));
-      }
-      Term t = rhs.term();
-      t.lhs = fold_operand(t.lhs, state);
-      t.rhs = fold_operand(t.rhs, state);
-      return Rhs(t);
-    };
-    if (node.kind == NodeKind::kAssign) {
-      node.rhs = fold_rhs(node.rhs);
-    } else if (node.kind == NodeKind::kTest) {
+    if (kind == NodeKind::kAssign) {
+      node.rhs = fold_rhs(node.rhs, state.data());
+    } else {
       // Fold operands only; the branch structure stays (a fully constant
       // condition still selects deterministically at runtime).
-      Rhs folded = fold_rhs(*node.cond);
-      node.cond = folded;
+      node.cond = fold_rhs(*node.cond, state.data());
     }
   }
   PARCM_OBS_COUNT("analysis.constprop.runs", 1);

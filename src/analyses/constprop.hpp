@@ -11,12 +11,22 @@
 //
 // Variables start as the constant 0 (the interpreter's initial state), so
 // the analysis is also a cheap initialization analysis.
+//
+// The solve runs forward on the dfa engine: a sparse-RPO Worklist over
+// DirectedView(kForward) seeded with the start node's successors, so a
+// loop-free graph relaxes each node at most once. Only exit states are
+// stored, one row of num_vars values per node, allocated once; a node's
+// entry state is re-joined from its predecessors' exits on demand, by the
+// join the solve uses. The equations are monotone over a finite lattice,
+// so every fair iteration order from all-Undef reaches the same greatest
+// fixpoint.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "ir/graph.hpp"
+#include "support/bitvector.hpp"
 
 namespace parcm {
 
@@ -37,13 +47,41 @@ struct CpValue {
 
 CpValue meet(const CpValue& a, const CpValue& b);
 
-struct ConstPropAnalysis {
-  // State at node entry: one CpValue per variable.
-  std::vector<std::vector<CpValue>> entry;
+class ConstPropAnalysis {
+ public:
   // Variables excluded because a sibling may interfere.
   std::vector<std::uint8_t> contested;
+
+  // The state at n's entry, one value per variable, written to `state`:
+  // the initial state at the start node, elsewhere the join of n's
+  // predecessors' exits. A node the solve never reached joins to Undef,
+  // and to NonConst for contested variables.
+  void entry(NodeId n, std::vector<CpValue>& state) const;
+  // Equations the solve evaluated (worklist pops).
+  std::size_t relaxations() const { return relaxations_; }
+
+ private:
+  friend ConstPropAnalysis analyze_constants(const Graph& g);
+
+  void join(NodeId n, CpValue* in) const;
+  const CpValue* exit_row(NodeId n) const { return exit_[n.index()].data(); }
+
+  const Graph* g_ = nullptr;
+  std::size_t num_vars_ = 0;
+  // Per region, the variables written anywhere in its subtree, in rows of
+  // words_ words: the parallel-aware ParEnd join asks which component
+  // writes a variable.
+  std::size_t words_ = 0;
+  std::vector<BitVector::Word> region_write_;
+  // One exit row per node, each its own allocation: a single
+  // num_nodes x num_vars block exceeds glibc's mmap threshold on large
+  // programs, and freeing it raises that threshold for the rest of the
+  // process, which grew peak RSS over repeated batch rounds.
+  std::vector<std::vector<CpValue>> exit_;
+  std::size_t relaxations_ = 0;
 };
 
+// The analysis refers to g, which must outlive it and keep its edges.
 ConstPropAnalysis analyze_constants(const Graph& g);
 
 struct ConstPropResult {

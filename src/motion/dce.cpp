@@ -1,5 +1,7 @@
 #include "motion/dce.hpp"
 
+#include <algorithm>
+
 #include "dfa/direction.hpp"
 #include "dfa/region_meta.hpp"
 #include "dfa/worklist.hpp"
@@ -97,6 +99,65 @@ ParallelLiveness compute_parallel_liveness(const Graph& g,
   }
   PARCM_OBS_COUNT("motion.liveness.relaxations", res.relaxations_);
   return res;
+}
+
+bool LivenessQuery::reads_x(const Node& node) const {
+  if (node.kind == NodeKind::kAssign) return node.rhs.uses_var(x_);
+  if (node.kind == NodeKind::kTest) return node.cond->uses_var(x_);
+  return false;
+}
+
+void LivenessQuery::reset(const Graph& g, VarId x, bool observed) {
+  g_ = &g;
+  x_ = x;
+  observed_ = observed;
+  if (visited_.size() < g.num_nodes()) visited_.resize(g.num_nodes(), 0);
+  sibling_reads_.clear();
+  if (g.num_regions() == 1) return;  // no parallel statement, no siblings
+  // The root has no siblings, so its reads never reach a sibling row; a
+  // component's scan stops at its first read of x.
+  region_reads_.assign(g.num_regions(), 0);
+  for (std::size_t r = 1; r < g.num_regions(); ++r) {
+    for (NodeId n : g.region(RegionId(static_cast<RegionId::underlying>(r)))
+                        .nodes) {
+      if (reads_x(g.node(n))) {
+        region_reads_[r] = 1;
+        break;
+      }
+    }
+  }
+  sibling_reads_ = region_sibling_rows(g, region_reads_, 1);
+}
+
+bool LivenessQuery::live_in(NodeId n) {
+  const Graph& g = *g_;
+  if (++epoch_ == 0) {  // wrapped: stale marks could alias the new epoch
+    std::fill(visited_.begin(), visited_.end(), 0);
+    epoch_ = 1;
+  }
+  stack_.clear();
+  stack_.push_back(n);
+  visited_[n.index()] = epoch_;
+  while (!stack_.empty()) {
+    NodeId cur = stack_.back();
+    stack_.pop_back();
+    const Node& node = g.node(cur);
+    // live_in = use | (live_out & ~def), live_out = [e*] observed |
+    // sibling reads | the successors' live_in.
+    if (reads_x(node)) return true;
+    if (node.kind == NodeKind::kAssign && node.lhs == x_) continue;
+    if (cur == g.end() && observed_) return true;
+    if (!sibling_reads_.empty() && sibling_reads_[node.region.index()] != 0) {
+      return true;
+    }
+    for (EdgeId e : node.out_edges) {
+      NodeId m = g.edge(e).to;
+      if (visited_[m.index()] == epoch_) continue;
+      visited_[m.index()] = epoch_;
+      stack_.push_back(m);
+    }
+  }
+  return false;
 }
 
 DceResult eliminate_dead_assignments(const Graph& g,

@@ -84,4 +84,38 @@ class ParallelLiveness {
 ParallelLiveness compute_parallel_liveness(const Graph& g,
                                            const BitVector& observed);
 
+// Liveness of one variable on demand, for a pass that asks about x at a few
+// nodes of a graph it keeps changing (sinking asks at its placements, once
+// per candidate). A forward search from n answers "live" at a read of x, at
+// a node whose region has a sibling component reading x, and at e* when x
+// is observed; it stops a branch at a redefinition of x. That is the least
+// fixpoint of compute_parallel_liveness's equations restricted to x's bit,
+// so every answer equals the full solve's live_in(n, x). The scratch (visit
+// marks, stack, region rows) is reused across reset() calls; each search
+// takes a fresh epoch of the visit marks instead of clearing them.
+class LivenessQuery {
+ public:
+  // Prepares queries about x on g, where x is live at e* iff `observed`.
+  // Call again after g changes: the region rows depend on where x is read.
+  void reset(const Graph& g, VarId x, bool observed);
+  // live_in(n, x) of compute_parallel_liveness(g, mask) for every mask
+  // whose x bit is `observed`.
+  bool live_in(NodeId n);
+
+ private:
+  bool reads_x(const Node& node) const;
+
+  const Graph* g_ = nullptr;
+  VarId x_;
+  bool observed_ = false;
+  // One word per region (bit 0): the region's member nodes read x, and,
+  // folded, a sibling component at any nesting level reads x.
+  std::vector<BitVector::Word> region_reads_;
+  std::vector<BitVector::Word> sibling_reads_;
+  // visited_[n] == epoch_ iff the current search has visited n.
+  std::vector<std::uint32_t> visited_;
+  std::uint32_t epoch_ = 0;
+  std::vector<NodeId> stack_;
+};
+
 }  // namespace parcm

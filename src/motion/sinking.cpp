@@ -17,7 +17,7 @@ namespace {
 
 class Sinker {
  public:
-  explicit Sinker(Graph& g) : g_(g), observed_(g.num_vars(), true) {}
+  explicit Sinker(Graph& g) : g_(g) {}
 
   // Attempts to sink assignment node a; returns true if applied.
   bool try_sink(NodeId a, std::size_t* placed, std::size_t* dropped) {
@@ -110,14 +110,14 @@ class Sinker {
       }
     }
 
-    // Liveness decides which copies are dead (every variable observable:
-    // only definite overwrites drop).
-    ParallelLiveness live = compute_parallel_liveness(g, observed_);
+    // x's liveness decides which copies are dead (every variable is
+    // observable at e*: only definite overwrites drop).
+    live_.reset(g, x_, /*observed=*/true);
     std::size_t new_placed = 0, new_dropped = 0;
     std::vector<NodeId> live_before;
     std::vector<EdgeId> live_edges;
     for (NodeId n : before_nodes) {
-      if (live.live_in(n, x_)) {
+      if (live_.live_in(n)) {
         live_before.push_back(n);
         ++new_placed;
       } else {
@@ -125,7 +125,7 @@ class Sinker {
       }
     }
     for (EdgeId e : on_edges) {
-      if (live.live_in(g.edge(e).to, x_)) {
+      if (live_.live_in(g.edge(e).to)) {
         live_edges.push_back(e);
         ++new_placed;
       } else {
@@ -157,17 +157,16 @@ class Sinker {
 
  private:
   Graph& g_;
-  // Sinking introduces no variables, so one all-observed mask serves every
-  // candidate.
-  BitVector observed_;
   VarId x_;
   Rhs rhs_;
   // Per-candidate scratch, reused: D and Clean flags by node, the region
-  // reachable through clean nodes, and the retraction worklist.
+  // reachable through clean nodes, the retraction worklist, and x's
+  // liveness queries.
   std::vector<char> d_;
   std::vector<char> clean_;
   std::vector<NodeId> region_;
   std::vector<NodeId> pending_;
+  LivenessQuery live_;
 };
 
 }  // namespace

@@ -20,7 +20,8 @@
 // Copies are placed (a) before every node n with D(n) that is not clean
 // (the first consumer / blocker on each path) and (b) on every edge leaving
 // the D-region; a copy is dropped when x is dead at its placement, which
-// one compute_parallel_liveness solve per candidate decides (dce.hpp).
+// a LivenessQuery for x decides (dce.hpp): a forward search from the
+// placement that stops at redefinitions of x.
 // Each path through A crosses exactly one placement, so per-path cost
 // never increases, and strictly decreases on the dead paths.
 //

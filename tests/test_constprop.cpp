@@ -2,15 +2,145 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "dfa/direction.hpp"
+#include "dfa/region_meta.hpp"
 #include "ir/printer.hpp"
 #include "ir/transform_utils.hpp"
 #include "ir/validate.hpp"
 #include "lang/lower.hpp"
+#include "motion/pcm.hpp"
 #include "semantics/equivalence.hpp"
+#include "semantics/state.hpp"
+#include "workload/families.hpp"
 #include "workload/randomprog.hpp"
 
 namespace parcm {
 namespace {
+
+// Reference formulation of the analysis: nested per-node entry and exit
+// vectors, a FIFO worklist in node order seeded with the start node's
+// successors, a fresh pair of vectors per relaxation. It computes the same
+// greatest fixpoint as analyze_constants by another route. `reached` marks
+// the start node and every node the worklist popped; the others keep
+// all-Undef entries.
+struct ReferenceConstProp {
+  std::vector<std::vector<CpValue>> entry;
+  std::vector<char> reached;
+};
+
+CpValue reference_eval(const Rhs& rhs, const std::vector<CpValue>& state) {
+  auto operand = [&](const Operand& op) {
+    return op.is_const() ? CpValue::constant(op.const_value())
+                         : state[op.var_id().index()];
+  };
+  if (rhs.is_trivial()) return operand(rhs.trivial());
+  CpValue a = operand(rhs.term().lhs);
+  CpValue b = operand(rhs.term().rhs);
+  if (a.kind == CpValue::Kind::kUndef || b.kind == CpValue::Kind::kUndef) {
+    return CpValue::undef();
+  }
+  if (!a.is_const() || !b.is_const()) return CpValue::nonconst();
+  VarState dummy(0);
+  return CpValue::constant(eval_rhs(
+      dummy, Rhs(Term{rhs.term().op, Operand::constant(a.value),
+                      Operand::constant(b.value)})));
+}
+
+ReferenceConstProp reference_constants(const Graph& g) {
+  std::size_t k = g.num_vars();
+  BitVector contested_mask = contested_vars(g);
+  std::vector<std::uint8_t> contested(k, 0);
+  for (std::size_t v = 0; v < k; ++v) contested[v] = contested_mask.test(v);
+  const std::size_t words = contested_mask.word_count();
+  std::vector<BitVector::Word> region_write =
+      region_subtree_rows(g, region_write_rows(g, words), words);
+  auto clamp = [&](std::vector<CpValue>& state) {
+    for (std::size_t v = 0; v < k; ++v) {
+      if (contested[v]) state[v] = CpValue::nonconst();
+    }
+  };
+
+  ReferenceConstProp res;
+  res.entry.assign(g.num_nodes(), std::vector<CpValue>(k));
+  res.reached.assign(g.num_nodes(), 0);
+  std::vector<std::vector<CpValue>> exit(g.num_nodes(),
+                                         std::vector<CpValue>(k));
+  std::vector<CpValue> init(k, CpValue::constant(0));
+  clamp(init);
+  res.entry[g.start().index()] = init;
+  res.reached[g.start().index()] = 1;
+  exit[g.start().index()] = std::move(init);
+
+  std::deque<NodeId> worklist;
+  std::vector<char> queued(g.num_nodes(), 0);
+  for (NodeId m : g.succs(g.start())) {
+    worklist.push_back(m);
+    queued[m.index()] = 1;
+  }
+  while (!worklist.empty()) {
+    NodeId n = worklist.front();
+    worklist.pop_front();
+    queued[n.index()] = 0;
+    res.reached[n.index()] = 1;
+
+    std::vector<CpValue> in(k);
+    if (g.node(n).kind == NodeKind::kParEnd) {
+      for (std::size_t v = 0; v < k; ++v) {
+        RegionId writer;
+        bool multiple = false;
+        const ParStmt& stmt = g.par_stmt(g.node(n).par_stmt);
+        for (RegionId comp : stmt.components) {
+          if (BitVector::test_bit(
+                  region_write.data() + comp.index() * words, v)) {
+            multiple = writer.valid();
+            writer = comp;
+          }
+        }
+        for (NodeId m : g.preds(n)) {
+          if (!multiple && writer.valid() && g.node(m).region != writer) {
+            continue;
+          }
+          in[v] = meet(in[v], exit[m.index()][v]);
+        }
+      }
+    } else {
+      for (NodeId m : g.preds(n)) {
+        for (std::size_t v = 0; v < k; ++v) {
+          in[v] = meet(in[v], exit[m.index()][v]);
+        }
+      }
+    }
+    clamp(in);
+    std::vector<CpValue> out = in;
+    const Node& node = g.node(n);
+    if (node.kind == NodeKind::kAssign && !contested[node.lhs.index()]) {
+      out[node.lhs.index()] = reference_eval(node.rhs, in);
+    }
+    clamp(out);
+    if (in == res.entry[n.index()] && out == exit[n.index()]) continue;
+    res.entry[n.index()] = std::move(in);
+    exit[n.index()] = std::move(out);
+    for (NodeId m : g.succs(n)) {
+      if (m != g.start() && !queued[m.index()]) {
+        queued[m.index()] = 1;
+        worklist.push_back(m);
+      }
+    }
+  }
+  return res;
+}
+
+bool has_back_edge(const Graph& g) {
+  DirectedView view(g, Direction::kForward);
+  for (NodeId n : g.all_nodes()) {
+    for (NodeId m : view.dir_succs(n)) {
+      if (view.rpo_index(m) <= view.rpo_index(n)) return true;
+    }
+  }
+  return false;
+}
 
 TEST(CpValue, MeetLattice) {
   CpValue u = CpValue::undef();
@@ -196,6 +326,90 @@ TEST(ConstProp, DivisionFoldingMatchesInterpreter) {
   }
   EXPECT_TRUE(x0);
   EXPECT_TRUE(y4);
+}
+
+// The solve against the reference formulation on 240 random programs with
+// loops, nested parallel statements, barriers, deterministic tests and
+// more than 64 variables: every node's entry state, as analyze_constants
+// re-joins it, equals the reference's. The one difference is a node the
+// worklist never reaches: the reference leaves its entry all-Undef, the
+// re-join pins contested variables to NonConst. Neither value folds.
+TEST(ConstProp, MatchesReferenceOnRandomPrograms) {
+  std::size_t with_loop = 0, with_nested_par = 0, with_barrier = 0;
+  std::size_t with_test = 0, multi_word = 0, with_contested = 0;
+  std::size_t constant_entries = 0;
+  std::vector<CpValue> state;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(seed);
+    RandomProgramOptions opt;
+    opt.target_stmts = 8 + seed % 24;
+    opt.max_par_depth = 3;
+    opt.par_permille = 250;
+    opt.while_permille = 120;
+    opt.cond_permille = 400;
+    opt.barrier_permille = 80;
+    opt.num_vars = seed % 8 == 7 ? 120 : 3 + static_cast<int>(seed % 5);
+    if (seed % 8 == 7) opt.target_stmts = 80;
+    Graph g = random_program(rng, opt);
+    validate_or_throw(g);
+
+    with_loop += has_back_edge(g);
+    bool nested = false, barrier = false, test = false;
+    for (NodeId n : g.all_nodes()) {
+      nested |= g.region_depth(g.node(n).region) >= 2;
+      barrier |= g.node(n).kind == NodeKind::kBarrier;
+      test |= g.node(n).kind == NodeKind::kTest;
+    }
+    with_nested_par += nested;
+    with_barrier += barrier;
+    with_test += test;
+    multi_word += g.num_vars() > BitVector::kWordBits;
+
+    ConstPropAnalysis cp = analyze_constants(g);
+    ReferenceConstProp ref = reference_constants(g);
+    bool contested = false;
+    for (std::uint8_t c : cp.contested) contested |= c != 0;
+    with_contested += contested;
+    std::size_t mismatches = 0;
+    for (NodeId n : g.all_nodes()) {
+      cp.entry(n, state);
+      ASSERT_EQ(state.size(), g.num_vars());
+      for (std::size_t v = 0; v < g.num_vars(); ++v) {
+        CpValue want = ref.entry[n.index()][v];
+        if (!ref.reached[n.index()] && cp.contested[v]) {
+          want = CpValue::nonconst();
+        }
+        mismatches += !(state[v] == want);
+        constant_entries += state[v].is_const();
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+  EXPECT_GT(with_loop, 20u);
+  EXPECT_GT(with_nested_par, 20u);
+  EXPECT_GT(with_barrier, 20u);
+  EXPECT_GT(with_test, 20u);
+  EXPECT_GT(with_contested, 20u);
+  EXPECT_GT(multi_word, 5u);
+  EXPECT_GT(constant_entries, 1000u);
+}
+
+// On loop-free graphs the forward RPO is topological, so the sparse
+// worklist never wraps: the solve relaxes each node at most once. The
+// graphs are the ones the default pipeline's constprop runs on. The count
+// is what the analysis.constprop.relaxations counter records.
+TEST(ConstProp, LoopFreeRelaxesEachNodeAtMostOnce) {
+  for (std::size_t segments : {1u, 10u, 40u}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      Graph g = parallel_code_motion(families::large_family(segments, seed))
+                    .graph;
+      ASSERT_FALSE(has_back_edge(g));
+      ConstPropAnalysis cp = analyze_constants(g);
+      EXPECT_GT(cp.relaxations(), 0u);
+      EXPECT_LE(cp.relaxations(), g.num_nodes())
+          << segments << " segments, seed " << seed;
+    }
+  }
 }
 
 class ConstPropProperty : public ::testing::TestWithParam<std::uint64_t> {};
