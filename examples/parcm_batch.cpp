@@ -1,5 +1,5 @@
-// parcm_batch — sharded batch-compilation driver: optimize a whole corpus
-// of parcm programs across a work-stealing thread pool.
+// parcm_batch — batch-compilation driver: optimize a whole corpus of parcm
+// programs on a pool of worker threads.
 //
 //   parcm_batch [options] <dir | manifest.txt | file.parcm ...>
 //     --jobs N         worker threads (default: hardware concurrency)
@@ -10,13 +10,10 @@
 //     --timeout S      per-program wall-clock box in seconds (fractional ok)
 //     --wall-limit S   whole-batch wall-clock box; unstarted jobs report
 //                      skipped
-//     --steal-seed N   shuffle per-worker steal order (results must not
-//                      change; the determinism suite varies this)
 //     --json FILE      write the parcm-batch-v1 report ("-" = stdout)
 //     --trace-json F   enable span tracing and write the multi-track
 //                      Chrome trace_event timeline (parcm-trace-v1; open
-//                      in ui.perfetto.dev) — one track per worker plus
-//                      the async safety-solve helpers
+//                      in ui.perfetto.dev) — one track per worker
 //     --pretty         pretty-print the JSON report
 //     --no-output      omit optimized program text from the report
 //     --remarks        retain per-program remark lines in the report
@@ -126,8 +123,6 @@ int main(int argc, char** argv) {
       opt.timeout_seconds = std::stod(next(&i));
     } else if (a == "--wall-limit") {
       opt.wall_limit_seconds = std::stod(next(&i));
-    } else if (a == "--steal-seed") {
-      opt.steal_seed = std::stoull(next(&i));
     } else if (a == "--json") {
       json_path = next(&i);
     } else if (a == "--trace-json") {
@@ -170,7 +165,7 @@ int main(int argc, char** argv) {
     } else if (a == "--help" || a == "-h") {
       std::cout
           << "usage: parcm_batch [--jobs N] [--pipeline NAME] [--validate] "
-             "[--timeout S] [--wall-limit S] [--steal-seed N] [--json FILE] "
+             "[--timeout S] [--wall-limit S] [--json FILE] "
              "[--trace-json FILE] "
              "[--pretty] [--no-output] [--remarks] [--max-states N] [--quiet] "
              "[--forensics-dir DIR] [--inject MODE] [--shared-cache on|off] "
@@ -239,7 +234,6 @@ int main(int argc, char** argv) {
       double wall_ms = 0.0;
       double cpu_ms = 0.0;
       double speedup = 0.0;
-      std::uint64_t steals = 0;
       driver::BatchTotals totals;
       double cache_hit_rate = 0.0;
       double allocs_per_program = 0.0;
@@ -266,7 +260,6 @@ int main(int argc, char** argv) {
       row.wall_ms = report.wall_ms;
       row.cpu_ms = report.cpu_ms;
       row.speedup = report.wall_ms > 0 ? jobs1_wall / report.wall_ms : 0.0;
-      row.steals = report.queue.steals;
       row.totals = report.totals;
       row.cache_hit_rate = report.cache_hit_rate;
       row.allocs_per_program = report.allocs_per_program;
@@ -279,9 +272,8 @@ int main(int argc, char** argv) {
       if (!quiet) {
         std::printf(
             "jobs %3zu: wall %10.1f ms  cpu %10.1f ms  speedup %5.2fx  "
-            "steals %6llu  done %zu/%zu\n",
-            row.jobs, row.wall_ms, row.cpu_ms, row.speedup,
-            static_cast<unsigned long long>(row.steals), row.totals.done,
+            "done %zu/%zu\n",
+            row.jobs, row.wall_ms, row.cpu_ms, row.speedup, row.totals.done,
             row.totals.submitted);
       }
     }
@@ -307,7 +299,6 @@ int main(int argc, char** argv) {
         w.key("programs").value(row.totals.submitted);
         w.key("done").value(row.totals.done);
         w.key("speedup_vs_jobs1").value(row.speedup);
-        w.key("steals").value(row.steals);
         w.key("cache_hit_rate").value(row.cache_hit_rate);
         w.key("allocs_per_program").value(row.allocs_per_program);
         w.key("program_latency_p50_ns").value(row.latency_p50_ns);

@@ -4,7 +4,7 @@
 Compares a freshly produced bench run against the committed BENCH_*.json
 baseline(s) and fails when a benchmark got slower than the threshold allows
 or when a deterministic counter (relaxations and constprop_relaxations by
-default) grew at all.
+default) grew at all or is no longer reported.
 
 Instead of diffing raw per-size timings — noisy on shared CI runners — the
 gate fits a power-law scaling model t(n) = a * n^b (log-log least squares,
@@ -16,7 +16,10 @@ back to the direct ratio.
 
 Deterministic counters are schedule-independent by construction (the repo's
 determinism suite holds that), so any growth is a real algorithmic
-regression and is always a hard failure, even with --advisory-timing.
+regression and is always a hard failure, even with --advisory-timing. So
+is a hard counter that a baseline row carries and the fresh run no longer
+reports, or a whole such row gone missing: a bench that stops counting
+must not pass.
 
 With --history the gate fits *trends* instead of a single baseline pair:
 scripts/run_bench.sh snapshots every run into bench/history/<utc>-<commit>/
@@ -193,15 +196,26 @@ def compare_timing(base, fresh, threshold, out):
 
 
 def compare_counters(base, fresh, hard_counters, out):
-    """Yields (name, counter, base, fresh) where a hard counter grew."""
+    """Yields (name, counter, base, fresh) where a hard counter grew, or
+    disappeared (fresh is None): the fresh run lost the counter from a
+    baseline row that carries it, or lost the whole row."""
     regressions = []
-    for name in sorted(base.keys() & fresh.keys()):
+    for name in sorted(base):
         _, bc = base[name]
-        _, fc = fresh[name]
+        fc = fresh[name][1] if name in fresh else None
         for counter in hard_counters:
-            if counter not in bc or counter not in fc:
+            if counter not in bc:
                 continue
-            bval, fval = float(bc[counter]), float(fc[counter])
+            bval = float(bc[counter])
+            if fc is None or counter not in fc:
+                what = "row" if fc is None else "counter"
+                out(
+                    f"  [MISSING  ] {name} {counter}: {bval:,.0f} -> "
+                    f"{what} absent from the fresh run"
+                )
+                regressions.append((name, counter, bval, None))
+                continue
+            fval = float(fc[counter])
             if fval > bval:
                 out(
                     f"  [REGRESSED] {name} {counter}: "
@@ -514,6 +528,14 @@ def self_test(threshold):
     slow = write(make_fixture(scale_time=2.0))  # 2x slower: must fail
     more = write(make_fixture(relaxations=26))  # counter grew: must fail
     more_cp = write(make_fixture(constprop_relaxations=41))  # likewise
+    # A hard counter that disappears must fail like one that grew: the
+    # fresh run drops the counter from a row, or drops a whole row.
+    no_counter = make_fixture()
+    del no_counter["results"][1]["counters"]["constprop_relaxations"]
+    no_counter = write(no_counter)
+    no_row = make_fixture()
+    del no_row["results"][2]
+    no_row = write(no_row)
 
     failures = []
     if run_gate([base], [same], threshold, DEFAULT_HARD_COUNTERS, False,
@@ -531,6 +553,16 @@ def self_test(threshold):
     if run_gate([base], [more_cp], threshold, DEFAULT_HARD_COUNTERS, True,
                 quiet) != 1:
         failures.append("constprop_relaxations growth accepted")
+    for path, row, counter, what in (
+            (no_counter, "BM_Fixture/512", "constprop_relaxations",
+             "dropped hard counter"),
+            (no_row, "BM_Fixture/4096", "relaxations", "dropped row")):
+        lines = []
+        code = run_gate([base], [path], threshold, DEFAULT_HARD_COUNTERS,
+                        True, lines.append)
+        named = any(row in l and counter in l for l in lines)
+        if code != 1 or not named:
+            failures.append(f"{what} accepted or not named")
     a, b = fit_power_law([(64, 6400.0), (512, 51200.0), (4096, 409600.0)])
     if not (abs(a - 100.0) < 1e-6 and abs(b - 1.0) < 1e-9):
         failures.append(f"power-law fit off: a={a} b={b}")
@@ -620,7 +652,8 @@ def self_test(threshold):
         failures.append("empty history dir not reported as usage error")
     os.rmdir(empty)
 
-    for path in (base, same, slow, more, more_cp, batch_ok, batch_cold,
+    for path in (base, same, slow, more, more_cp, no_counter, no_row,
+                 batch_ok, batch_cold,
                  batch_fat,
                  exec_ok, exec_slow, exec_regressed, exec_drift):
         os.unlink(path)

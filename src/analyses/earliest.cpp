@@ -1,23 +1,11 @@
 #include "analyses/earliest.hpp"
 
-#include <future>
-
 #include "analyses/downsafety.hpp"
 #include "analyses/upsafety.hpp"
 #include "obs/metrics.hpp"
 #include "obs/remarks.hpp"
-#include "obs/trace.hpp"
 
 namespace parcm {
-
-namespace {
-
-// Below this many node×term bits the thread launch costs more than the
-// solve; above it the two safety solves overlap almost perfectly (they
-// share no mutable state — counters are mutex-protected).
-constexpr std::size_t kConcurrentSolveThreshold = 16384;
-
-}  // namespace
 
 SafetyInfo compute_safety(const Graph& g, const LocalPredicates& preds,
                           SafetyVariant variant) {
@@ -25,33 +13,15 @@ SafetyInfo compute_safety(const Graph& g, const LocalPredicates& preds,
   SafetyInfo info;
   info.variant = variant;
   info.num_terms = preds.num_terms();
-  // Problem construction emits remarks, so it stays on this thread; the two
-  // solves are independent and run concurrently when the problem is big
-  // enough. The helper records spans onto its own "<track>/async" buffer,
-  // so tracing no longer forces sequential solves.
   PackedProblem up_problem = make_upsafety_problem(g, preds, variant);
   PackedProblem down_problem = make_downsafety_problem(g, preds, variant);
   PARCM_OBS_COUNT("analysis.upsafety.runs", 1);
   PARCM_OBS_COUNT("analysis.downsafety.runs", 1);
-  bool concurrent =
-      g.num_nodes() * preds.num_terms() >= kConcurrentSolveThreshold;
-  if (concurrent) {
-    PARCM_OBS_COUNT("analysis.safety.concurrent_solves", 1);
-    // The helper thread inherits this thread's effective obs destinations,
-    // so a batch-driver worker keeps its solver counters attributed to its
-    // own per-worker registry instead of the process-global one.
-    obs::ThreadBindings bindings = obs::current_thread_bindings();
-    std::future<PackedResult> down =
-        std::async(std::launch::async, [&g, &down_problem, bindings] {
-          obs::ThreadBindingsScope scope(bindings);
-          return solve_packed(g, down_problem);
-        });
-    info.up_result = solve_packed(g, up_problem);
-    info.down_result = down.get();
-  } else {
-    info.up_result = solve_packed(g, up_problem);
-    info.down_result = solve_packed(g, down_problem);
-  }
+  // One after the other on this thread: batch workers already keep the
+  // cores busy, and even on idle cores a helper thread saved under 1% of
+  // pcm (DESIGN.md §4c).
+  info.up_result = solve_packed(g, up_problem);
+  info.down_result = solve_packed(g, down_problem);
 
   info.upsafe.reserve(g.num_nodes());
   info.dnsafe.reserve(g.num_nodes());

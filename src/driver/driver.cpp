@@ -1,16 +1,15 @@
 #include "driver/driver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <ctime>
-#include <mutex>
 #include <numeric>
 #include <thread>
 
 #include "analyses/cache.hpp"
 #include "analyses/constprop.hpp"
 #include "driver/forensic.hpp"
-#include "driver/work_queue.hpp"
 #include "ir/printer.hpp"
 #include "lang/lower.hpp"
 #include "motion/bcm.hpp"
@@ -26,14 +25,11 @@
 #include "obs/trace.hpp"
 #include "support/arena.hpp"
 #include "support/diagnostics.hpp"
-#include "support/rng.hpp"
 #include "verify/fuzz.hpp"
 
 namespace parcm::driver {
 
 namespace {
-
-constexpr std::size_t kDefaultShardCap = 32;
 
 Pipeline build_named_pipeline(const std::string& name) {
   return make_batch_pipeline(name);
@@ -144,38 +140,21 @@ void default_runner(const BatchJob& job, WorkerContext& ctx,
   }
 }
 
-// Everything the workers share; the aggregation side is mutex-protected
-// and touched only on drain.
+// Everything the workers share. `next` is the one scheduling state: a
+// cursor over `order`, so each job index is claimed by exactly one worker,
+// which then owns that index's report slot.
 struct BatchShared {
   const Manifest* manifest = nullptr;
   const BatchOptions* options = nullptr;
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques;
-  GlobalInjector injector;
+  std::vector<std::size_t> order;  // manifest indices, biggest first
+  std::atomic<std::size_t> next{0};
   std::chrono::steady_clock::time_point batch_start;
 
-  std::mutex mu;
   BatchReport* report = nullptr;  // programs preallocated, manifest order
   obs::Registry aggregate;
 };
 
-struct WorkerTally {
-  std::uint64_t own_pops = 0;
-  std::uint64_t injector_pops = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-};
-
-void drain_results(BatchShared& shared, std::vector<ProgramResult>& buffer) {
-  if (buffer.empty()) return;
-  std::lock_guard<std::mutex> lock(shared.mu);
-  for (ProgramResult& r : buffer) {
-    shared.report->programs[r.index] = std::move(r);
-  }
-  buffer.clear();
-}
-
-void run_one_job(std::size_t index, std::size_t worker, BatchShared& shared,
-                 std::vector<ProgramResult>& buffer) {
+void run_one_job(std::size_t index, std::size_t worker, BatchShared& shared) {
   const BatchOptions& options = *shared.options;
   const BatchJob& job = shared.manifest->jobs[index];
   ProgramResult result;
@@ -190,12 +169,6 @@ void run_one_job(std::size_t index, std::size_t worker, BatchShared& shared,
   obs::RemarkSink& sink = obs::remarks();
   sink.clear();
   PARCM_OBS_FLIGHT(obs::FlightKind::kProgramBegin, job.id, index, 0);
-  // Helper threads (the safety solver's std::async solves) flush their
-  // allocation deltas here, so result.allocs covers the whole job no
-  // matter how the solver split its work across threads.
-  obs::ForeignAllocSink foreign_allocs;
-  obs::ForeignAllocSink* prev_foreign =
-      obs::set_thread_foreign_alloc_sink(&foreign_allocs);
   obs::AllocCounterScope alloc_scope;
   try {
     if (options.test_before_job) options.test_before_job(index);
@@ -224,8 +197,7 @@ void run_one_job(std::size_t index, std::size_t worker, BatchShared& shared,
       }
     }
   }
-  result.allocs = alloc_scope.allocs() + foreign_allocs.allocs();
-  obs::set_thread_foreign_alloc_sink(prev_foreign);
+  result.allocs = alloc_scope.allocs();
   auto latency_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count();
@@ -268,68 +240,27 @@ void run_one_job(std::size_t index, std::size_t worker, BatchShared& shared,
       // An unreadable source or full disk must not take the batch down.
     }
   }
-  buffer.push_back(std::move(result));
-  if (buffer.size() >= std::max<std::size_t>(1, options.drain_batch)) {
-    drain_results(shared, buffer);
-  }
+  // This worker claimed `index`, so the slot is its alone until run_batch
+  // joins the pool.
+  shared.report->programs[index] = std::move(result);
 }
 
-// Nanoseconds since `since`, for histogram samples.
-std::uint64_t ns_since(std::chrono::steady_clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
-
-// The pop/steal/run loop, split out so its "driver.worker" span and timer
+// The claim/run loop, split out so its "driver.worker" span and timer
 // close while the worker's thread overrides are still installed.
-void worker_loop(std::size_t worker, BatchShared& shared,
-                 const std::vector<std::size_t>& victims,
-                 std::vector<ProgramResult>& buffer, WorkerTally& tally) {
+void worker_loop(std::size_t worker, BatchShared& shared) {
   const BatchOptions& options = *shared.options;
-  WorkStealingDeque& own = *shared.deques[worker];
   // One span covering the worker's whole lifetime, so every worker track
-  // is populated even when all of its jobs were stolen out from under it.
+  // is populated even when the worker claims no job.
   PARCM_OBS_TIMER("driver.worker");
-  // Time from starting to look for work until a job is in hand; survives
-  // failed steal sweeps (the yield-and-retry path keeps accumulating).
-  auto seek_start = std::chrono::steady_clock::now();
   for (;;) {
     if (options.wall_limit_seconds > 0) {
       std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - shared.batch_start;
       if (elapsed.count() >= options.wall_limit_seconds) break;
     }
-    std::size_t job = 0;
-    if (own.pop(&job)) {
-      ++tally.own_pops;
-    } else if (shared.injector.pop(&job)) {
-      ++tally.injector_pops;
-    } else {
-      auto sweep_start = std::chrono::steady_clock::now();
-      bool stole = false, contended = false;
-      for (std::size_t v : victims) {
-        ++tally.steal_attempts;
-        if (shared.deques[v]->steal(&job)) {
-          ++tally.steals;
-          stole = true;
-          break;
-        }
-        // A lost CAS (as opposed to an empty deque) means work may remain;
-        // sweep again instead of exiting.
-        if (!shared.deques[v]->empty()) contended = true;
-      }
-      if (!stole) {
-        if (!contended && shared.injector.exhausted()) break;
-        std::this_thread::yield();
-        continue;
-      }
-      PARCM_OBS_HIST("driver.steal_latency_ns", ns_since(sweep_start));
-    }
-    PARCM_OBS_HIST("driver.queue_wait_ns", ns_since(seek_start));
-    run_one_job(job, worker, shared, buffer);
-    seek_start = std::chrono::steady_clock::now();
+    std::size_t i = shared.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= shared.order.size()) break;
+    run_one_job(shared.order[i], worker, shared);
   }
 }
 
@@ -337,7 +268,7 @@ void worker_main(std::size_t worker, BatchShared& shared) {
   const BatchOptions& options = *shared.options;
 
   // Per-worker observability and analysis state: programs run with exactly
-  // the single-thread semantics, merged on drain.
+  // the single-thread semantics, merged when the worker finishes.
   obs::Registry registry;
   obs::RemarkSink sink;
   sink.set_enabled(options.collect_remarks);
@@ -354,39 +285,17 @@ void worker_main(std::size_t worker, BatchShared& shared) {
   SharedAnalysisCache* prev_shared =
       set_thread_shared_analysis_cache(shared_tier);
 
-  // Deterministically shuffled steal-victim order (worker-level shuffle;
-  // outputs must not depend on it).
-  std::vector<std::size_t> victims;
-  for (std::size_t v = 0; v < shared.deques.size(); ++v) {
-    if (v != worker) victims.push_back(v);
-  }
-  Rng rng(options.steal_seed * 0x9E3779B97F4A7C15ull + worker + 1);
-  for (std::size_t i = victims.size(); i > 1; --i) {
-    std::swap(victims[i - 1], victims[rng.below(i)]);
-  }
-
-  std::vector<ProgramResult> buffer;
-  WorkerTally tally;
   {
-    // Named trace track for this worker (no-op while tracing is disabled);
-    // the async safety-solve helpers land on "worker-N/async". The sink
-    // must have been enabled before run_batch spawned us.
+    // Named trace track for this worker (no-op while tracing is disabled).
+    // The sink must have been enabled before run_batch spawned us.
     obs::TraceThreadScope trace_scope("worker-" + std::to_string(worker));
-    worker_loop(worker, shared, victims, buffer, tally);
+    worker_loop(worker, shared);
   }
 
-  drain_results(shared, buffer);
   set_thread_shared_analysis_cache(prev_shared);
   set_thread_analysis_cache(prev_cache);
   obs::set_thread_remark_sink(prev_sink);
   obs::set_thread_registry(prev_registry);
-  {
-    std::lock_guard<std::mutex> lock(shared.mu);
-    shared.report->queue.own_pops += tally.own_pops;
-    shared.report->queue.injector_pops += tally.injector_pops;
-    shared.report->queue.steals += tally.steals;
-    shared.report->queue.steal_attempts += tally.steal_attempts;
-  }
   shared.aggregate.merge_from(registry);
 }
 
@@ -426,35 +335,19 @@ BatchReport run_batch(const Manifest& manifest, const BatchOptions& options) {
   // cannot perturb report byte-identity.
   if (!options.forensics_dir.empty()) obs::flight().set_enabled(true);
 
-  // Size-ordered sharding: big programs first, dealt round-robin across
-  // the per-worker deques; the rest feeds the global injector in the same
-  // order.
-  std::vector<std::size_t> order(manifest.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&manifest](std::size_t a, std::size_t b) {
-                     return manifest.jobs[a].size_hint >
-                            manifest.jobs[b].size_hint;
-                   });
-
   BatchShared shared;
   shared.manifest = &manifest;
   shared.options = &options;
   shared.report = &report;
-  std::size_t shard_cap =
-      options.shard_cap > 0 ? options.shard_cap : kDefaultShardCap;
-  std::size_t dealt = std::min(order.size(), shard_cap * workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    shared.deques.push_back(
-        std::make_unique<WorkStealingDeque>(manifest.size()));
-  }
-  // Deal in reverse so each deque's bottom (the owner's LIFO end) holds its
-  // biggest job: workers start their largest program first.
-  for (std::size_t i = dealt; i-- > 0;) {
-    shared.deques[i % workers]->push(order[i]);
-  }
-  shared.injector.seed(
-      std::vector<std::size_t>(order.begin() + dealt, order.end()));
+  // Big programs first, ties in manifest order: the cursor hands them out
+  // in this order.
+  shared.order.resize(manifest.size());
+  std::iota(shared.order.begin(), shared.order.end(), 0);
+  std::stable_sort(shared.order.begin(), shared.order.end(),
+                   [&manifest](std::size_t a, std::size_t b) {
+                     return manifest.jobs[a].size_hint >
+                            manifest.jobs[b].size_hint;
+                   });
 
   auto wall_start = std::chrono::steady_clock::now();
   shared.batch_start = wall_start;
@@ -532,9 +425,8 @@ std::string BatchReport::summary() const {
   }
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "; wall %.1f ms, cpu %.1f ms, cache hit rate %.2f, steals %llu",
-                wall_ms, cpu_ms, cache_hit_rate,
-                static_cast<unsigned long long>(queue.steals));
+                "; wall %.1f ms, cpu %.1f ms, cache hit rate %.2f", wall_ms,
+                cpu_ms, cache_hit_rate);
   s += buf;
   if (allocs_total > 0) {
     std::snprintf(buf, sizeof(buf), ", %.0f allocs/program",
@@ -564,12 +456,6 @@ std::string BatchReport::to_json(bool pretty, bool include_timing) const {
     w.key("cpu_ms").value(cpu_ms);
     w.key("allocs_total").value(allocs_total);
     w.key("allocs_per_program").value(allocs_per_program);
-    w.key("queue").begin_object();
-    w.key("own_pops").value(queue.own_pops);
-    w.key("injector_pops").value(queue.injector_pops);
-    w.key("steals").value(queue.steals);
-    w.key("steal_attempts").value(queue.steal_attempts);
-    w.end_object();
     w.key("cache").begin_object();
     w.key("hits").value(cache_hits);
     w.key("misses").value(cache_misses);

@@ -1,22 +1,20 @@
-// Sharded batch-compilation engine.
+// Batch-compilation engine.
 //
 // run_batch takes a Manifest of `.parcm` programs and pushes every one
-// through the optimization pipeline across a work-stealing thread pool:
+// through the optimization pipeline on a pool of worker threads:
 //
-//   sharding      jobs are sorted by size (big programs first, so the batch
-//                 tail stays short) and dealt round-robin into per-worker
-//                 Chase–Lev deques; the overflow seeds a global injector
-//                 that workers drain when their own deque runs dry, which
-//                 bounds in-flight memory (backpressure: a worker holds at
-//                 most its initial shard plus one injector draw, and
-//                 finished results are merged on drain instead of piling
-//                 up per worker).
+//   scheduling    jobs are sorted by size, biggest first (so the batch tail
+//                 stays short), and workers claim them one at a time
+//                 through a single atomic cursor over that order. Each
+//                 index is claimed exactly once, so a worker writes its
+//                 result straight into the job's preallocated report slot.
 //   isolation     each worker installs its own obs::Registry, RemarkSink
 //                 and AnalysisCache as thread overrides, so programs are
 //                 processed with exactly the single-thread observability
 //                 semantics — per-program outputs and remark streams are
-//                 byte-identical at any --jobs value and any steal order
-//                 (tests/test_batch_determinism.cpp holds this).
+//                 byte-identical at any --jobs value
+//                 (tests/test_batch_determinism.cpp holds this). A worker
+//                 is the only thread its programs run on.
 //   failure       one bad program degrades to a reported failure: internal
 //                 errors and parse errors mark the job kFailed, a
 //                 per-program deadline unwinds between passes as
@@ -28,8 +26,7 @@
 //                 and records the verdict per program.
 //
 // The aggregate report carries per-program verdicts, remark counts,
-// wall/cpu time, cache hit rates and queue/steal statistics, and renders
-// as `parcm-batch-v1` JSON.
+// wall/cpu time and cache hit rates, and renders as `parcm-batch-v1` JSON.
 #pragma once
 
 #include <chrono>
@@ -130,15 +127,6 @@ struct BatchOptions {
   double timeout_seconds = 0;
   // Whole-batch wall-clock box; jobs not started in time report kSkipped.
   double wall_limit_seconds = 0;
-  // Seeds the per-worker shuffle of steal-victim order. Results are
-  // independent of this value — the determinism suite varies it to prove
-  // that.
-  std::uint64_t steal_seed = 0;
-  // Results buffered per worker before a merge-on-drain into the report.
-  std::size_t drain_batch = 16;
-  // Initial deque shard per worker; everything beyond stays in the global
-  // injector. 0 = default (32).
-  std::size_t shard_cap = 0;
   // Share analysis artifacts across workers through the process-wide
   // structural-key cache (analyses/cache.hpp): a corpus full of repeated
   // shapes builds TermTable/LocalPredicates/InterleavingInfo once per shape
@@ -187,10 +175,10 @@ struct BatchTotals {
 };
 
 struct QueueStats {
-  std::uint64_t own_pops = 0;
-  std::uint64_t injector_pops = 0;
+  // Always 0: workers claim jobs from one cursor and never steal. Kept
+  // only because the end-to-end benchmark reports it (e2e_bench
+  // driver.steals); retire both at the next change to that benchmark.
   std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
 };
 
 struct BatchReport {
@@ -202,9 +190,9 @@ struct BatchReport {
   bool validated = false;
   double wall_ms = 0.0;
   double cpu_ms = 0.0;
-  // Merged per-worker registries (merge-on-drain aggregation). Histogram
-  // merges are exact, so driver.program_latency_ns / steal_latency_ns /
-  // queue_wait_ns summarize the whole batch as if recorded centrally.
+  // Merged per-worker registries. Histogram merges are exact, so
+  // driver.program_latency_ns summarizes the whole batch as if recorded
+  // centrally.
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, obs::TimerStat> timers;
   std::map<std::string, obs::Histogram> histograms;
@@ -229,9 +217,9 @@ struct BatchReport {
   // One-paragraph human summary.
   std::string summary() const;
   // `parcm-batch-v1` JSON. include_timing=false omits every
-  // schedule-dependent field (wall/cpu times, worker count, queue/steal
-  // statistics, merged metrics) leaving exactly the per-program payload
-  // that is byte-identical across job counts and steal orders.
+  // schedule-dependent field (wall/cpu times, worker count, allocation and
+  // cache statistics, merged metrics) leaving exactly the per-program
+  // payload that is byte-identical across job counts.
   std::string to_json(bool pretty = false, bool include_timing = true) const;
 };
 

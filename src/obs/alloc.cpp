@@ -8,9 +8,9 @@
 #endif
 
 namespace parcm::obs {
-namespace {
 
 #if PARCM_OBS_ALLOC_HOOK
+namespace {
 // Zero-initialized POD: no dynamic TLS construction, so the counters are
 // safe to touch from the very first allocation a thread makes.
 struct AllocCounters {
@@ -18,19 +18,8 @@ struct AllocCounters {
   std::uint64_t bytes;
 };
 thread_local AllocCounters tl_alloc_counters;
-#endif
-
-thread_local ForeignAllocSink* tl_foreign_sink = nullptr;
-
 }  // namespace
-
-ForeignAllocSink* thread_foreign_alloc_sink() { return tl_foreign_sink; }
-
-ForeignAllocSink* set_thread_foreign_alloc_sink(ForeignAllocSink* s) {
-  ForeignAllocSink* prev = tl_foreign_sink;
-  tl_foreign_sink = s;
-  return prev;
-}
+#endif
 
 bool alloc_hook_active() { return PARCM_OBS_ALLOC_HOOK != 0; }
 

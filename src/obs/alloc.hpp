@@ -13,7 +13,6 @@
 // no locks, no atomics, and safe during thread start-up/teardown.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #ifndef PARCM_OBS_ENABLED
@@ -29,37 +28,6 @@ bool alloc_hook_active();
 // Always 0 when the hook is compiled out.
 std::uint64_t thread_alloc_count();
 std::uint64_t thread_alloc_bytes();
-
-// Collects allocation counts flushed by helper threads working on the
-// owner's behalf. The per-thread counters above cannot see work a
-// ThreadBindingsScope hands to a std::async helper — which made the
-// driver's allocs_per_program depend on how the safety solver happened to
-// split work across threads. The spawning thread installs a sink
-// (set_thread_foreign_alloc_sink); every ThreadBindingsScope whose bindings
-// carry it flushes the helper's delta here on exit, so owner-thread count
-// plus sink equals the whole job's allocations regardless of threading.
-class ForeignAllocSink {
- public:
-  void add(std::uint64_t allocs, std::uint64_t bytes) {
-    allocs_.fetch_add(allocs, std::memory_order_relaxed);
-    bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  std::uint64_t allocs() const {
-    return allocs_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> allocs_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-};
-
-// The calling thread's foreign-allocation sink (nullptr when none);
-// current_thread_bindings() captures it alongside registry and remarks.
-ForeignAllocSink* thread_foreign_alloc_sink();
-// Installs `s` for this thread (nullptr removes it); returns the previous
-// value.
-ForeignAllocSink* set_thread_foreign_alloc_sink(ForeignAllocSink* s);
 
 #if PARCM_OBS_ENABLED
 

@@ -12,8 +12,11 @@ namespace detail {
 
 // One thread's event ring. Single writer (the bound thread); any thread may
 // read concurrently via the per-slot seqlock, so every field a reader
-// touches is an atomic accessed relaxed between the seq acquire/release
-// pair — no plain loads race with the writer.
+// touches is an atomic — no plain loads race with the writer. Release
+// payload stores and acquire payload loads order the payload against the
+// sequence without fences, which ThreadSanitizer does not model (Boehm,
+// "Can seqlocks get along with programming language memory models?",
+// 2012).
 class FlightRing {
  public:
   static constexpr std::size_t kLabelWords =
@@ -41,24 +44,22 @@ class FlightRing {
     Slot& slot = slots_[event % slots_.size()];
     const std::uint64_t s0 = slot.seq.load(std::memory_order_relaxed);
     slot.seq.store(s0 + 1, std::memory_order_relaxed);  // odd: in progress
-    // Payload stores must not reorder before the odd mark: a reader that
-    // observes any of them must find seq odd (or already advanced) when it
-    // rechecks.
-    std::atomic_thread_fence(std::memory_order_release);
-    slot.event_seq.store(event, std::memory_order_relaxed);
-    slot.t_ns.store(t_ns, std::memory_order_relaxed);
-    slot.a.store(a, std::memory_order_relaxed);
-    slot.b.store(b, std::memory_order_relaxed);
+    // Release payload stores: a reader that acquires any of them also sees
+    // the odd mark above when it rechecks seq.
+    slot.event_seq.store(event, std::memory_order_release);
+    slot.t_ns.store(t_ns, std::memory_order_release);
+    slot.a.store(a, std::memory_order_release);
+    slot.b.store(b, std::memory_order_release);
     slot.kind.store(static_cast<std::uint8_t>(kind),
-                    std::memory_order_relaxed);
+                    std::memory_order_release);
     const std::size_t len =
         std::min<std::size_t>(label.size(), FlightRecorder::kLabelBytes);
     slot.label_len.store(static_cast<std::uint8_t>(len),
-                         std::memory_order_relaxed);
+                         std::memory_order_release);
     std::array<std::uint64_t, kLabelWords> words{};
     if (len > 0) std::memcpy(words.data(), label.data(), len);
     for (std::size_t w = 0; w < kLabelWords; ++w) {
-      slot.label[w].store(words[w], std::memory_order_relaxed);
+      slot.label[w].store(words[w], std::memory_order_release);
     }
     slot.seq.store(s0 + 2, std::memory_order_release);  // even: stable
     head_.store(event + 1, std::memory_order_release);
@@ -78,20 +79,20 @@ class FlightRing {
       FlightEvent ev;
       const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
       if ((s1 & 1) != 0) continue;
-      ev.seq = slot.event_seq.load(std::memory_order_relaxed);
-      ev.t_ns = slot.t_ns.load(std::memory_order_relaxed);
-      ev.a = slot.a.load(std::memory_order_relaxed);
-      ev.b = slot.b.load(std::memory_order_relaxed);
+      // Acquire payload loads keep the recheck of seq below after them.
+      ev.seq = slot.event_seq.load(std::memory_order_acquire);
+      ev.t_ns = slot.t_ns.load(std::memory_order_acquire);
+      ev.a = slot.a.load(std::memory_order_acquire);
+      ev.b = slot.b.load(std::memory_order_acquire);
       ev.kind =
-          static_cast<FlightKind>(slot.kind.load(std::memory_order_relaxed));
+          static_cast<FlightKind>(slot.kind.load(std::memory_order_acquire));
       const std::size_t len = std::min<std::size_t>(
-          slot.label_len.load(std::memory_order_relaxed),
+          slot.label_len.load(std::memory_order_acquire),
           FlightRecorder::kLabelBytes);
       std::array<std::uint64_t, kLabelWords> words{};
       for (std::size_t w = 0; w < kLabelWords; ++w) {
-        words[w] = slot.label[w].load(std::memory_order_relaxed);
+        words[w] = slot.label[w].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
       if (s1 != s2) continue;  // torn: writer lapped us mid-copy
       ev.label.assign(reinterpret_cast<const char*>(words.data()), len);

@@ -17,9 +17,9 @@
 // at any time — including a failure path that fires while other workers
 // are still recording — so every event slot is a seqlock of plain atomics:
 // the writer bumps the slot's sequence to odd, stores the payload fields
-// relaxed, then publishes the even sequence with release; a reader that
-// observes an odd or changed sequence discards the slot instead of
-// returning a torn event. No mutex sits on the record path; binding a new
+// with release, then publishes the even sequence with release; a reader
+// loads the payload with acquire, and one that observes an odd or changed
+// sequence discards the slot instead of returning a torn event. No mutex sits on the record path; binding a new
 // thread's ring and snapshotting take the registry mutex. clear() bumps a
 // generation so stale thread bindings die instead of dangling (the same
 // guard the trace sink uses).

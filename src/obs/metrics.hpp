@@ -211,8 +211,8 @@ class Registry {
   std::string to_json(bool pretty = false) const;
 
  private:
-  // The mutex also guards the counter slots: a registry can be shared with
-  // helper threads (ThreadBindingsScope).
+  // The mutex also guards the counter slots: every thread without a
+  // set_thread_registry override shares the process-global registry.
   mutable std::mutex mu_;
   // Indexed by CounterKey::slot; a null name marks a slot this registry was
   // never asked to add to.

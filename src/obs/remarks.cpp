@@ -31,11 +31,6 @@ RemarkSink* set_thread_remark_sink(RemarkSink* s) {
   return prev;
 }
 
-ThreadBindings current_thread_bindings() {
-  return ThreadBindings{&registry(), &remarks(), current_trace_track(),
-                        thread_foreign_alloc_sink()};
-}
-
 const char* remark_kind_name(RemarkKind kind) {
   switch (kind) {
     case RemarkKind::kInserted: return "inserted";

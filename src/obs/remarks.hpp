@@ -22,14 +22,11 @@
 #include <cstdint>
 #include <initializer_list>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/alloc.hpp"    // ForeignAllocSink, thread_alloc_count
 #include "obs/metrics.hpp"  // PARCM_OBS_ENABLED and the macro helpers
-#include "obs/trace.hpp"    // TraceThreadScope
 
 namespace parcm::obs {
 
@@ -192,58 +189,6 @@ RemarkSink* set_remark_sink(RemarkSink* s);
 // each capture their own remark stream this way without fighting over the
 // process-global sink. Mirrors obs::set_thread_registry.
 RemarkSink* set_thread_remark_sink(RemarkSink* s);
-
-// The effective obs destinations of the calling thread — registry, remark
-// sink, and trace track — for hand-off to helper threads that should
-// report into the same place. A helper thread installs the bindings for
-// its lifetime via ThreadBindingsScope — the std::async safety solves use
-// this so their counters stay attributed to the spawning worker, not to
-// whichever global sinks the helper thread would otherwise see.
-struct ThreadBindings {
-  Registry* registry = nullptr;
-  RemarkSink* remarks = nullptr;
-  // Spawning thread's trace track ("" when it is unbound or tracing is
-  // off); the helper records onto "<trace_track>/async".
-  std::string trace_track;
-  // Spawning thread's foreign-allocation sink (nullptr when none): the
-  // helper's allocation delta over the scope's lifetime is flushed here, so
-  // per-job allocation accounting covers helper-thread work too.
-  ForeignAllocSink* alloc_sink = nullptr;
-};
-ThreadBindings current_thread_bindings();
-
-class ThreadBindingsScope {
- public:
-  explicit ThreadBindingsScope(const ThreadBindings& b)
-      : prev_registry_(set_thread_registry(b.registry)),
-        prev_sink_(set_thread_remark_sink(b.remarks)),
-        alloc_sink_(b.alloc_sink),
-        start_allocs_(thread_alloc_count()),
-        start_bytes_(thread_alloc_bytes()) {
-    if (!b.trace_track.empty()) {
-      trace_scope_.emplace(b.trace_track + "/async");
-    }
-  }
-  ~ThreadBindingsScope() {
-    trace_scope_.reset();
-    if (alloc_sink_ != nullptr) {
-      alloc_sink_->add(thread_alloc_count() - start_allocs_,
-                       thread_alloc_bytes() - start_bytes_);
-    }
-    set_thread_remark_sink(prev_sink_);
-    set_thread_registry(prev_registry_);
-  }
-  ThreadBindingsScope(const ThreadBindingsScope&) = delete;
-  ThreadBindingsScope& operator=(const ThreadBindingsScope&) = delete;
-
- private:
-  Registry* prev_registry_;
-  RemarkSink* prev_sink_;
-  ForeignAllocSink* alloc_sink_;
-  std::uint64_t start_allocs_;
-  std::uint64_t start_bytes_;
-  std::optional<TraceThreadScope> trace_scope_;
-};
 
 // RAII pass-name scope: remarks emitted while alive and not already naming
 // a pass are attributed to `name`; the previous name is restored on exit.

@@ -142,7 +142,7 @@ void TraceSink::set_span_capacity(std::size_t spans) {
 
 SpanBuffer* TraceSink::acquire_buffer_locked(std::string_view track) {
   // Revive an unbound buffer of the same track so repeated binds (one
-  // async solve after another, scaling reruns) reuse storage instead of
+  // batch after another, scaling reruns) reuse storage instead of
   // registering a fresh buffer each time.
   for (auto& buf : buffers_) {
     if (!buf->bound() && buf->track() == track) {

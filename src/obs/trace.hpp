@@ -11,9 +11,6 @@
 //             "main" track lazily on its first span.
 //   workers   bind an explicit track ("worker-3") for their lifetime with
 //             a TraceThreadScope; the batch driver does this per worker.
-//   helpers   obs::ThreadBindingsScope binds "<parent-track>/async" so the
-//             std::async safety solves land on their own named track
-//             instead of writing into a dead sink.
 //
 // Lifecycle (enforced with asserts): enable the sink *before* spawning
 // worker threads, join them *before* clear(). A buffer that fills up drops
@@ -146,8 +143,8 @@ class TraceThreadScope {
 };
 
 // The track the calling thread currently records into on the global sink
-// ("" when unbound or tracing is disabled). ThreadBindings uses this to
-// hand helper threads a "<track>/async" sub-track.
+// ("" when unbound or tracing is disabled). The flight recorder names a
+// thread's ring after it, so forensic events line up with trace spans.
 std::string current_trace_track();
 
 // The process-global sink fed by ScopedTimer.

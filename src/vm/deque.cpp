@@ -1,6 +1,6 @@
-#include "driver/work_queue.hpp"
+#include "vm/deque.hpp"
 
-namespace parcm::driver {
+namespace parcm::vm {
 
 namespace {
 
@@ -77,4 +77,4 @@ bool WorkStealingDeque::empty() const {
   return t >= b;
 }
 
-}  // namespace parcm::driver
+}  // namespace parcm::vm

@@ -7,10 +7,10 @@
 #include <thread>
 #include <unordered_map>
 
-#include "driver/work_queue.hpp"
 #include "obs/metrics.hpp"
 #include "support/diagnostics.hpp"
 #include "support/rng.hpp"
+#include "vm/deque.hpp"
 
 namespace parcm::vm {
 
@@ -307,7 +307,7 @@ class ParMachine {
     budget_.store(static_cast<std::int64_t>(opts_.max_steps));
     for (std::size_t w = 0; w < workers; ++w) {
       deques_.push_back(
-          std::make_unique<driver::WorkStealingDeque>(p_.num_regions + 1));
+          std::make_unique<WorkStealingDeque>(p_.num_regions + 1));
     }
 
     tasks_[0].pc = p_.root_entry();
@@ -522,7 +522,7 @@ class ParMachine {
   std::unique_ptr<std::atomic<std::int64_t>[]> store_;
   std::vector<Task> tasks_;
   std::unique_ptr<StmtState[]> stmts_;
-  std::vector<std::unique_ptr<driver::WorkStealingDeque>> deques_;
+  std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
   std::atomic<bool> done_{false};
   std::atomic<bool> aborted_{false};
   std::atomic<bool> deadlocked_{false};

@@ -22,7 +22,7 @@
 //    against each other.
 //
 //  * run_parallel — the wall-clock mode. Par components become tasks on
-//    Chase-Lev work-stealing deques (driver/work_queue.hpp), one deque per
+//    Chase-Lev work-stealing deques (vm/deque.hpp), one deque per
 //    worker, shared store in seq_cst atomics. Interleaving granularity here
 //    is the hardware's (individual loads and stores), strictly finer than
 //    the oracle's single-step rhs evaluation — fine for timing and TSan

@@ -2,10 +2,13 @@
 // containment, wall-limit backpressure and counter balance under load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "driver/driver.hpp"
 #include "driver/manifest.hpp"
@@ -119,8 +122,6 @@ TEST(BatchStress, CustomRunnerEachIndexOnce) {
       driver::Manifest::lazy(kN, "t", [](std::size_t) { return ""; });
   driver::BatchOptions opt;
   opt.jobs = 8;
-  opt.steal_seed = 5;
-  opt.shard_cap = 4;  // force heavy injector traffic
   opt.runner = [&visits](const driver::BatchJob&, std::size_t index,
                          driver::WorkerContext&, driver::ProgramResult&) {
     visits[index].fetch_add(1);
@@ -131,10 +132,38 @@ TEST(BatchStress, CustomRunnerEachIndexOnce) {
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(visits[i].load(), 1) << "index " << i;
   }
-  EXPECT_EQ(r.queue.own_pops + r.queue.injector_pops + r.queue.steals, kN);
 }
 
-// Big-first sharding: with wildly mixed sizes the report still carries
+// The cursor's one policy: jobs start biggest first, ties in manifest
+// order. One worker makes the start order observable.
+TEST(BatchStress, BiggestJobsStartFirst) {
+  driver::Manifest m;
+  for (std::size_t i = 0; i < 60; ++i) {
+    driver::BatchJob job;
+    job.id = "s" + std::to_string(i);
+    job.size_hint = (i * 7) % 13;  // every size repeats: ties must stay stable
+    m.jobs.push_back(std::move(job));
+  }
+  std::vector<std::size_t> expected(m.size());
+  std::iota(expected.begin(), expected.end(), 0);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&m](std::size_t a, std::size_t b) {
+                     return m.jobs[a].size_hint > m.jobs[b].size_hint;
+                   });
+  std::vector<std::size_t> started;
+  driver::BatchOptions opt;
+  opt.jobs = 1;
+  opt.test_before_job = [&started](std::size_t index) {
+    started.push_back(index);
+  };
+  opt.runner = [](const driver::BatchJob&, std::size_t, driver::WorkerContext&,
+                  driver::ProgramResult&) {};
+  driver::BatchReport r = driver::run_batch(m, opt);
+  EXPECT_EQ(r.totals.done, 60u);
+  EXPECT_EQ(started, expected);
+}
+
+// Big-first scheduling: with wildly mixed sizes the report still carries
 // every result in manifest order and the totals hold.
 TEST(BatchStress, MixedSizesBalance) {
   driver::Manifest m;

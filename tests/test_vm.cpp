@@ -1,11 +1,14 @@
 // Unit coverage for the bytecode VM: lowering shape, seeded determinism,
 // eval semantics, join/barrier protocol (including the zero-statement
 // component edge case the lowering surfaced), cost parity against the
-// analytic walker, and the per-path executional-improvement property on
-// the paper's figures.
+// analytic walker, the per-path executional-improvement property on the
+// paper's figures, and the Chase–Lev deque run_parallel schedules on
+// (including a multithreaded hammer test meant to run under TSan).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "figures/figures.hpp"
@@ -14,6 +17,7 @@
 #include "semantics/enumerator.hpp"
 #include "verify/fuzz.hpp"
 #include "vm/bytecode.hpp"
+#include "vm/deque.hpp"
 #include "vm/executor.hpp"
 #include "vm/harness.hpp"
 
@@ -412,6 +416,69 @@ TEST(VmHarness, SmallCorpusIsCleanAndDeterministic) {
   EXPECT_TRUE(a.ok());
   CorpusReport b = run_exec_corpus(opts);
   EXPECT_EQ(a.to_json(), b.to_json());
+}
+
+// --- Chase–Lev deque (run_parallel's scheduler) --------------------------
+
+TEST(WorkStealingDeque, OwnerLifoThiefFifo) {
+  WorkStealingDeque dq(8);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_TRUE(dq.push(i));
+  std::size_t v = 0;
+  EXPECT_TRUE(dq.pop(&v));
+  EXPECT_EQ(v, 4u);  // owner pops newest
+  EXPECT_TRUE(dq.steal(&v));
+  EXPECT_EQ(v, 0u);  // thief steals oldest
+  EXPECT_TRUE(dq.steal(&v));
+  EXPECT_EQ(v, 1u);
+  EXPECT_TRUE(dq.pop(&v));
+  EXPECT_EQ(v, 3u);
+  EXPECT_TRUE(dq.pop(&v));
+  EXPECT_EQ(v, 2u);
+  EXPECT_FALSE(dq.pop(&v));
+  EXPECT_FALSE(dq.steal(&v));
+  EXPECT_TRUE(dq.empty());
+}
+
+TEST(WorkStealingDeque, RejectsPushBeyondCapacity) {
+  WorkStealingDeque dq(4);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(dq.push(i));
+  EXPECT_FALSE(dq.push(99));
+  std::size_t v = 0;
+  EXPECT_TRUE(dq.steal(&v));
+  EXPECT_TRUE(dq.push(99));  // slot freed by the steal
+}
+
+// Owner pops + concurrent thieves: every pushed item is claimed exactly
+// once. This is the test TSan watches for ordering bugs in push/pop/steal.
+TEST(WorkStealingDeque, HammerEveryItemClaimedOnce) {
+  constexpr std::size_t kItems = 20000;
+  constexpr int kThieves = 3;
+  WorkStealingDeque dq(1 << 15);
+  std::vector<std::atomic<int>> claimed(kItems);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> thieves;
+  for (int t = 0; t < kThieves; ++t) {
+    thieves.emplace_back([&] {
+      std::size_t v;
+      while (!done.load(std::memory_order_acquire)) {
+        if (dq.steal(&v)) claimed[v].fetch_add(1);
+      }
+      while (dq.steal(&v)) claimed[v].fetch_add(1);
+    });
+  }
+  std::size_t v;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    while (!dq.push(i)) {
+      if (dq.pop(&v)) claimed[v].fetch_add(1);
+    }
+    if (i % 3 == 0 && dq.pop(&v)) claimed[v].fetch_add(1);
+  }
+  while (dq.pop(&v)) claimed[v].fetch_add(1);
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : thieves) t.join();
+  for (std::size_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(claimed[i].load(), 1) << "item " << i;
+  }
 }
 
 }  // namespace
