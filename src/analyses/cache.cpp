@@ -121,14 +121,6 @@ std::shared_ptr<const AnalysisBundle> SharedAnalysisCache::find_bundle(
   return e != nullptr ? e->bundle : nullptr;
 }
 
-std::shared_ptr<const InterleavingInfo> SharedAnalysisCache::find_itlv(
-    const StructuralKey& key) {
-  Shard& shard = shards_[key.hash % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* e = locate(shard, key, /*insert_missing=*/false);
-  return e != nullptr ? e->itlv : nullptr;
-}
-
 void SharedAnalysisCache::put_bundle(
     const StructuralKey& key, std::shared_ptr<const AnalysisBundle> bundle) {
   Shard& shard = shards_[key.hash % kShards];
@@ -136,17 +128,6 @@ void SharedAnalysisCache::put_bundle(
   Entry* e = locate(shard, key, /*insert_missing=*/true);
   if (e != nullptr && e->bundle == nullptr) {
     e->bundle = std::move(bundle);
-    PARCM_OBS_COUNT("analysis.shared_cache.inserts", 1);
-  }
-}
-
-void SharedAnalysisCache::put_itlv(const StructuralKey& key,
-                                   std::shared_ptr<const InterleavingInfo> itlv) {
-  Shard& shard = shards_[key.hash % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* e = locate(shard, key, /*insert_missing=*/true);
-  if (e != nullptr && e->itlv == nullptr) {
-    e->itlv = std::move(itlv);
     PARCM_OBS_COUNT("analysis.shared_cache.inserts", 1);
   }
 }
@@ -168,18 +149,31 @@ std::size_t SharedAnalysisCache::size() const {
 }
 
 std::shared_ptr<const AnalysisBundle> AnalysisCache::acquire(const Graph& g) {
+  // Every acquisition counts as a miss; only the shared tier spares a
+  // build, so BatchReport::cache_hit_rate is 1 - builds / misses.
+  PARCM_OBS_COUNT("analysis.cache.misses", 1);
+  StructuralKey key = structural_key(g);
+  SharedAnalysisCache* shared = thread_shared_cache;
   std::shared_ptr<const AnalysisBundle> bundle;
-  std::uint64_t hash = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (bundle_valid_ && bundle_version_ == g.version()) {
-      PARCM_OBS_COUNT("analysis.cache.hits", 1);
-      bundle = bundle_;
-      hash = bundle_hash_;
+  if (shared != nullptr) {
+    bundle = shared->find_bundle(key);
+    if (bundle != nullptr) {
+      PARCM_OBS_COUNT("analysis.shared_cache.hits", 1);
+    } else {
+      PARCM_OBS_COUNT("analysis.shared_cache.misses", 1);
     }
   }
-  if (bundle == nullptr) bundle = acquire_slow(g, &hash);
-  maybe_emit(g, *bundle, hash);
+  PARCM_OBS_FLIGHT(obs::FlightKind::kCacheProbe, "bundle", key.hash,
+                   bundle != nullptr ? 1 : 0);
+  if (bundle == nullptr) {
+    PARCM_OBS_COUNT("analysis.cache.builds", 1);
+    // A shared-tier entry outlives the current job, so its memory must come
+    // from the heap even while a program arena is installed.
+    ArenaPauseScope no_arena;
+    bundle = std::make_shared<const AnalysisBundle>(g);
+    if (shared != nullptr) shared->put_bundle(key, bundle);
+  }
+  maybe_emit(g, *bundle, key.hash);
   return bundle;
 }
 
@@ -206,94 +200,6 @@ void AnalysisCache::maybe_emit(const Graph& g, const AnalysisBundle& bundle,
   if (emit) emit_acquisition_remarks(g, bundle.terms, bundle.preds);
   last_emit_hash_.store(hash, std::memory_order_relaxed);
   last_emit_epoch_.store(epoch, std::memory_order_release);
-}
-
-std::shared_ptr<const AnalysisBundle> AnalysisCache::acquire_slow(
-    const Graph& g, std::uint64_t* hash_out) {
-  StructuralKey key = structural_key(g);
-  *hash_out = key.hash;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (bundle_valid_ && bundle_hash_ == key.hash) {
-      // Same content under a new version (e.g. an identical graph rebuilt
-      // by the next benchmark iteration); refresh the fast path.
-      bundle_version_ = g.version();
-      PARCM_OBS_COUNT("analysis.cache.hits", 1);
-      PARCM_OBS_FLIGHT(obs::FlightKind::kCacheProbe, "bundle", key.hash, 1);
-      return bundle_;
-    }
-    if (bundle_valid_) PARCM_OBS_COUNT("analysis.cache.invalidations", 1);
-    PARCM_OBS_COUNT("analysis.cache.misses", 1);
-    PARCM_OBS_FLIGHT(obs::FlightKind::kCacheProbe, "bundle", key.hash, 0);
-  }
-  SharedAnalysisCache* shared = thread_shared_cache;
-  std::shared_ptr<const AnalysisBundle> fresh;
-  if (shared != nullptr) {
-    fresh = shared->find_bundle(key);
-    if (fresh != nullptr) {
-      PARCM_OBS_COUNT("analysis.shared_cache.hits", 1);
-    } else {
-      PARCM_OBS_COUNT("analysis.shared_cache.misses", 1);
-    }
-  }
-  if (fresh == nullptr) {
-    PARCM_OBS_COUNT("analysis.cache.builds", 1);
-    // Cached artifacts outlive the current job, so their memory must come
-    // from the heap even while a program arena is installed.
-    ArenaPauseScope no_arena;
-    fresh = std::make_shared<const AnalysisBundle>(g.version(), g);
-    if (shared != nullptr) shared->put_bundle(key, fresh);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  bundle_ = fresh;
-  bundle_version_ = g.version();
-  bundle_hash_ = key.hash;
-  bundle_valid_ = true;
-  return fresh;
-}
-
-std::shared_ptr<const InterleavingInfo> AnalysisCache::interleaving(
-    const Graph& g) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (itlv_ && itlv_graph_ == &g && itlv_version_ == g.version()) {
-      PARCM_OBS_COUNT("analysis.cache.hits", 1);
-      return itlv_;
-    }
-    PARCM_OBS_COUNT("analysis.cache.misses", 1);
-  }
-  SharedAnalysisCache* shared = thread_shared_cache;
-  std::shared_ptr<const InterleavingInfo> fresh;
-  StructuralKey key;
-  if (shared != nullptr) {
-    key = structural_key(g);
-    fresh = shared->find_itlv(key);
-    if (fresh != nullptr) {
-      PARCM_OBS_COUNT("analysis.shared_cache.hits", 1);
-    } else {
-      PARCM_OBS_COUNT("analysis.shared_cache.misses", 1);
-    }
-  }
-  if (fresh == nullptr) {
-    PARCM_OBS_COUNT("analysis.cache.builds", 1);
-    ArenaPauseScope no_arena;
-    fresh = std::make_shared<const InterleavingInfo>(g);
-    if (shared != nullptr) shared->put_itlv(key, fresh);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  itlv_ = fresh;
-  itlv_graph_ = &g;
-  itlv_version_ = g.version();
-  return fresh;
-}
-
-void AnalysisCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  bundle_.reset();
-  bundle_valid_ = false;
-  itlv_.reset();
-  itlv_graph_ = nullptr;
-  emitted_.clear();
 }
 
 AnalysisCache& analysis_cache() {

@@ -1,36 +1,25 @@
-// Two-tier cross-pass analysis cache.
+// Cross-pass analysis cache.
 //
-// TermTable, LocalPredicates and InterleavingInfo depend only on a graph's
-// content, yet every motion pass (and every benchmark iteration) used to
-// rebuild them from scratch. The cache keys a bundle of all three on the
-// graph's *content*:
-//
-//   fast path   Graph::version() — versions are drawn from a process-wide
-//               counter on every mutation, so equal versions imply equal
-//               content (copies inherit the version of their source).
-//   slow path   a structural hash over nodes, edges, regions and parallel
-//               statements — so a rebuilt-but-identical graph (e.g. the
-//               next benchmark iteration, or the same source compiled
-//               twice) still hits.
-//   shared tier a process-wide lock-striped cache keyed on the full
-//               structural key, so a corpus full of similar shapes computes
-//               each analysis once per shape instead of once per
-//               (program, worker). Opt-in per thread; collisions on the
-//               64-bit hash are rejected by a full key compare, never
-//               served.
+// TermTable and LocalPredicates depend only on a graph's content. acquire()
+// computes a structural key over nodes, edges, regions and parallel
+// statements and, when the calling thread has a shared tier installed,
+// looks the bundle up there: a process-wide lock-striped map from
+// structural key to immutable artifacts, so a corpus full of similar shapes
+// builds each bundle once per shape instead of once per program.
+// Collisions on the 64-bit hash are rejected by a full key compare, never
+// served. Without a shared tier every acquisition builds.
 //
 // acquire() returns a shared_ptr, so a pass keeps its analyses alive for
-// its whole duration even if it mutates the graph (invalidating the cache
-// slot) or another thread acquires a different graph meanwhile.
+// its whole duration even if it mutates the graph.
 //
 // Remark emission: the P2 recursive-split degradation remarks derived from
 // LocalPredicates are emitted by acquire(), once per distinct content per
 // sink epoch (RemarkSink::epoch() — a fresh sink, or clearing the current
 // one, starts a new epoch). Tying emission to acquisition instead of
 // construction keeps the remark stream identical whether an analysis was
-// rebuilt, thread-cached or shared-cache hit — a requirement of the batch
-// driver's byte-identity guarantee, whose workers clear their sink at every
-// job boundary.
+// built or served by the shared tier — a requirement of the batch driver's
+// byte-identity guarantee, whose workers clear their sink at every job
+// boundary.
 #pragma once
 
 #include <atomic>
@@ -43,7 +32,6 @@
 
 #include "analyses/predicates.hpp"
 #include "ir/graph.hpp"
-#include "ir/regions.hpp"
 #include "ir/terms.hpp"
 
 namespace parcm {
@@ -65,31 +53,24 @@ struct StructuralKey {
 StructuralKey structural_key(const Graph& g);
 
 struct AnalysisBundle {
-  std::uint64_t version = 0;
   TermTable terms;
   LocalPredicates preds;
 
-  AnalysisBundle(std::uint64_t v, const Graph& g)
-      : version(v), terms(g), preds(g, terms) {}
+  explicit AnalysisBundle(const Graph& g) : terms(g), preds(g, terms) {}
 };
 
 // Process-wide shared tier: lock-striped map from structural key to the
-// immutable analysis artifacts of that shape. Entries are filled lazily —
-// bundle and interleaving info arrive through independent put calls. A
-// shard that reaches its entry cap is flushed wholesale; since every hit
-// returns content-identical artifacts, eviction policy cannot influence
-// results, only rebuild counts.
+// immutable analysis bundle of that shape. A shard that reaches its entry
+// cap is flushed wholesale; since every hit returns content-identical
+// artifacts, eviction policy cannot influence results, only rebuild counts.
 class SharedAnalysisCache {
  public:
   static constexpr std::size_t kShards = 64;
   static constexpr std::size_t kMaxEntriesPerShard = 512;
 
   std::shared_ptr<const AnalysisBundle> find_bundle(const StructuralKey& key);
-  std::shared_ptr<const InterleavingInfo> find_itlv(const StructuralKey& key);
   void put_bundle(const StructuralKey& key,
                   std::shared_ptr<const AnalysisBundle> bundle);
-  void put_itlv(const StructuralKey& key,
-                std::shared_ptr<const InterleavingInfo> itlv);
 
   void clear();
   std::size_t size() const;
@@ -98,7 +79,6 @@ class SharedAnalysisCache {
   struct Entry {
     StructuralKey key;
     std::shared_ptr<const AnalysisBundle> bundle;
-    std::shared_ptr<const InterleavingInfo> itlv;
   };
   struct Shard {
     mutable std::mutex mu;
@@ -115,33 +95,17 @@ class SharedAnalysisCache {
 
 class AnalysisCache {
  public:
-  // Returns the bundle for g's current content, rebuilding at most once per
-  // distinct content (and at most once per shape process-wide when a shared
-  // tier is installed). Emits the content's acquisition remarks the first
+  // Returns the bundle for g's content: the shared tier's when one is
+  // installed and holds the shape, else a fresh build (published to the
+  // shared tier, if any). Emits the content's acquisition remarks the first
   // time it is acquired in the current sink epoch. Thread-safe.
   std::shared_ptr<const AnalysisBundle> acquire(const Graph& g);
 
-  // Interleaving info is cached per (object identity, version) in the
-  // thread tier — cheap pointer compare — and per structural key in the
-  // shared tier (instances no longer reference their graph).
-  std::shared_ptr<const InterleavingInfo> interleaving(const Graph& g);
-
-  void clear();
-
  private:
-  std::shared_ptr<const AnalysisBundle> acquire_slow(const Graph& g,
-                                                     std::uint64_t* hash_out);
   void maybe_emit(const Graph& g, const AnalysisBundle& bundle,
                   std::uint64_t hash);
 
   std::mutex mu_;
-  std::shared_ptr<const AnalysisBundle> bundle_;
-  std::uint64_t bundle_version_ = 0;  // most recent version seen for bundle_
-  std::uint64_t bundle_hash_ = 0;
-  bool bundle_valid_ = false;
-  std::shared_ptr<const InterleavingInfo> itlv_;
-  const Graph* itlv_graph_ = nullptr;
-  std::uint64_t itlv_version_ = 0;
   // Content hashes whose remarks were emitted in sink epoch emit_epoch_.
   std::uint64_t emit_epoch_ = 0;
   std::unordered_set<std::uint64_t> emitted_;
@@ -157,8 +121,8 @@ AnalysisCache& analysis_cache();
 
 // Installs `c` as this thread's cache override (nullptr removes it);
 // returns the previous override. Batch-driver workers each run their own
-// cache so the single-slot bundle is never invalidated by a sibling
-// worker's unrelated graph and acquire() never contends across programs.
+// cache, so remark deduplication follows the worker's own sink epochs and
+// acquire() never contends across workers.
 AnalysisCache* set_thread_analysis_cache(AnalysisCache* c);
 
 // The process-wide shared tier instance (exists regardless of use).

@@ -83,10 +83,9 @@ void default_runner(const BatchJob& job, WorkerContext& ctx,
   // region trees): everything graph-shaped built below dies before this
   // scope ends, so the whole job's IR churn is reclaimed wholesale here.
   // Result payload fields are plain strings (heap), and everything that
-  // outlives the job — cached analysis bundles, shared-cache entries — is
-  // built under an ArenaPauseScope by the cache, so nothing arena-backed
-  // escapes. Scoped to the default runner only: custom runners own their
-  // allocation story.
+  // outlives the job — shared-cache analysis bundles — is built under an
+  // ArenaPauseScope by the cache, so nothing arena-backed escapes. Scoped
+  // to the default runner only: custom runners own their allocation story.
   Arena arena;
   ArenaScope arena_scope(arena);
   std::string source = job.text();
@@ -397,10 +396,8 @@ BatchReport run_batch(const Manifest& manifest, const BatchOptions& options) {
   report.cache_hits = counter("analysis.cache.hits");
   report.cache_misses = counter("analysis.cache.misses");
   report.cache_builds = counter("analysis.cache.builds");
-  // Hit rate = fraction of lookups that avoided a rebuild, on either tier:
-  // a thread-tier miss that the shared tier satisfies is still a hit. With
-  // the shared tier off, builds == misses and this reduces to the classic
-  // hits / (hits + misses).
+  // Hit rate = fraction of acquisitions the shared tier served without a
+  // rebuild; with the tier off, builds == misses and it is 0.
   std::uint64_t lookups = report.cache_hits + report.cache_misses;
   report.cache_hit_rate =
       lookups == 0 ? 0.0

@@ -129,10 +129,10 @@ struct BatchOptions {
   double wall_limit_seconds = 0;
   // Share analysis artifacts across workers through the process-wide
   // structural-key cache (analyses/cache.hpp): a corpus full of repeated
-  // shapes builds TermTable/LocalPredicates/InterleavingInfo once per shape
-  // instead of once per (program, worker). Purely a rebuild-count
-  // optimization — per-program payloads are byte-identical either way (the
-  // determinism suite runs both modes, hot and cold).
+  // shapes builds TermTable/LocalPredicates once per shape instead of once
+  // per program. Purely a rebuild-count optimization — per-program payloads
+  // are byte-identical either way (the determinism suite runs both modes,
+  // hot and cold).
   bool shared_cache = true;
   // Test hook: when shared_cache is on and this is set, workers install
   // this instance instead of the process-wide one — tests get a private,
@@ -198,14 +198,18 @@ struct BatchReport {
   std::map<std::string, obs::Histogram> histograms;
   std::uint64_t allocs_total = 0;
   double allocs_per_program = 0.0;  // allocs_total / done, 0 when none ran
+  // Always 0: every acquisition counts as a miss, and only the shared tier
+  // can spare a build. Kept only because the end-to-end benchmark reports
+  // hits + misses as its lookups (e2e_bench analyses.cache_lookups); retire
+  // it with QueueStats::steals.
   std::uint64_t cache_hits = 0;
+  // Analysis acquisitions ("analysis.cache.misses").
   std::uint64_t cache_misses = 0;
-  // Analyses actually constructed ("analysis.cache.builds"): lookups the
-  // thread tier AND the shared tier both missed.
+  // Analyses actually constructed ("analysis.cache.builds"): acquisitions
+  // the shared tier did not serve.
   std::uint64_t cache_builds = 0;
-  // Fraction of lookups served without a rebuild by either cache tier:
-  // 1 - builds / (hits + misses); 0 when unused. Equals the classic
-  // hits / (hits + misses) when the shared tier is off.
+  // Fraction of acquisitions the shared tier served without a rebuild:
+  // 1 - builds / (hits + misses); 0 when unused or with the tier off.
   double cache_hit_rate = 0.0;
   std::size_t validation_failures = 0;
 

@@ -1,22 +1,10 @@
 #include "ir/graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "support/diagnostics.hpp"
 
 namespace parcm {
-
-namespace {
-// Process-wide version source: every mutation of any graph draws a fresh
-// value, so a version number is issued at most once and equal versions on
-// two Graph objects imply one is an unmodified copy of the other.
-std::atomic<std::uint64_t> g_graph_version{0};
-}  // namespace
-
-void Graph::bump_version() {
-  version_ = g_graph_version.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 const char* node_kind_name(NodeKind kind) {
   switch (kind) {
@@ -51,7 +39,6 @@ Graph::Graph() {
 VarId Graph::intern_var(const std::string& name) {
   auto it = var_index_.find(name);
   if (it != var_index_.end()) return it->second;
-  bump_version();
   VarId v(static_cast<VarId::underlying>(var_names_.size()));
   var_names_.push_back(name);
   var_index_.emplace(name, v);
@@ -72,7 +59,6 @@ const std::string& Graph::var_name(VarId v) const {
 NodeId Graph::new_node(NodeKind kind, RegionId region) {
   PARCM_CHECK(region.valid() && region.index() < regions_.size(),
               "bad RegionId");
-  bump_version();
   NodeId n(static_cast<NodeId::underlying>(nodes_.size()));
   Node node;
   node.kind = kind;
@@ -96,7 +82,6 @@ NodeId Graph::new_test(RegionId region, Rhs cond) {
 }
 
 EdgeId Graph::add_edge(NodeId from, NodeId to) {
-  bump_version();
   EdgeId e(static_cast<EdgeId::underlying>(edges_.size()));
   edges_.push_back(Edge{from, to, true});
   nodes_[from.index()].out_edges.push_back(e);
@@ -105,7 +90,6 @@ EdgeId Graph::add_edge(NodeId from, NodeId to) {
 }
 
 void Graph::remove_edge(EdgeId e) {
-  bump_version();
   Edge& ed = edges_[e.index()];
   PARCM_CHECK(ed.valid, "edge removed twice");
   ed.valid = false;
@@ -139,7 +123,6 @@ std::size_t Graph::out_degree(NodeId n) const {
 }
 
 ParStmtId Graph::add_par_stmt(RegionId parent) {
-  bump_version();
   ParStmtId s(static_cast<ParStmtId::underlying>(par_stmts_.size()));
   NodeId begin = new_node(NodeKind::kParBegin, parent);
   NodeId end = new_node(NodeKind::kParEnd, parent);
@@ -151,7 +134,6 @@ ParStmtId Graph::add_par_stmt(RegionId parent) {
 }
 
 RegionId Graph::add_component(ParStmtId stmt) {
-  bump_version();
   RegionId r(static_cast<RegionId::underlying>(regions_.size()));
   regions_.push_back(Region{r, stmt, {}, {}});
   par_stmts_[stmt.index()].components.push_back(r);
@@ -229,7 +211,6 @@ int Graph::region_depth(RegionId r) const {
 }
 
 void Graph::splice_before(NodeId n, NodeId before) {
-  bump_version();
   Node& fresh = nodes_[n.index()];
   PARCM_CHECK(fresh.in_edges.empty() && fresh.out_edges.empty(),
               "splice_before requires a fresh node");
@@ -246,7 +227,6 @@ void Graph::splice_before(NodeId n, NodeId before) {
 }
 
 void Graph::splice_after(NodeId n, NodeId after) {
-  bump_version();
   Node& fresh = nodes_[n.index()];
   PARCM_CHECK(fresh.in_edges.empty() && fresh.out_edges.empty(),
               "splice_after requires a fresh node");

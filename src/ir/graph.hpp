@@ -128,13 +128,6 @@ class Graph {
   // Creates the root region plus start and end nodes (unconnected).
   Graph();
 
-  // Structural version stamp. Every mutation (including handing out a
-  // non-const Node&/Edge&) assigns a fresh value from a process-wide
-  // counter, so two graphs carry the same version only if one is an
-  // unmodified copy of the other — equal versions imply equal content,
-  // which is what AnalysisCache's fast path relies on.
-  std::uint64_t version() const { return version_; }
-
   // --- variables -----------------------------------------------------------
   VarId intern_var(const std::string& name);
   std::optional<VarId> find_var(const std::string& name) const;
@@ -151,17 +144,9 @@ class Graph {
 
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_edges_total() const { return edges_.size(); }
-  // The non-const accessors conservatively bump the version: transforms
-  // mutate nodes in place through them (e.g. rewriting an assignment's rhs).
-  Node& node(NodeId n) {
-    bump_version();
-    return nodes_[n.index()];
-  }
+  Node& node(NodeId n) { return nodes_[n.index()]; }
   const Node& node(NodeId n) const { return nodes_[n.index()]; }
-  Edge& edge(EdgeId e) {
-    bump_version();
-    return edges_[e.index()];
-  }
+  Edge& edge(EdgeId e) { return edges_[e.index()]; }
   const Edge& edge(EdgeId e) const { return edges_[e.index()]; }
 
   NodeId start() const { return start_; }
@@ -240,8 +225,6 @@ class Graph {
   void splice_after(NodeId n, NodeId after);
 
  private:
-  void bump_version();
-
   avector<Node> nodes_;
   avector<Edge> edges_;
   avector<Region> regions_;
@@ -250,7 +233,6 @@ class Graph {
   std::unordered_map<std::string, VarId> var_index_;
   NodeId start_;
   NodeId end_;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace parcm

@@ -21,12 +21,8 @@ class InterleavingInfo {
   // Computed on demand: materializing every node's sibling set up front is
   // quadratic in the component size. The solvers work from per-component
   // aggregates instead; this enumeration exists for tests, tools and the
-  // enumerator's reduction machinery.
-  //
-  // The graph is a query parameter rather than a stored pointer so one
-  // InterleavingInfo can serve every structurally identical graph (the
-  // shared analysis cache hands the same instance to all workers); `g` must
-  // have the structure this info was built from.
+  // enumerator's reduction machinery. `g` must have the structure this info
+  // was built from.
   std::vector<NodeId> preds(const Graph& g, NodeId n) const;
 
  private:

@@ -3,7 +3,6 @@
 #include <deque>
 #include <unordered_set>
 
-#include "analyses/cache.hpp"
 #include "ir/regions.hpp"
 #include "obs/metrics.hpp"
 #include "support/diagnostics.hpp"
@@ -27,12 +26,7 @@ void collect_accessed(const Graph& g, NodeId n, std::vector<VarId>* out) {
 // invisible[n]: executing n commutes with every step of every other thread
 // and offers no choice — safe to take alone under partial-order reduction.
 std::vector<char> compute_invisible(const Graph& g) {
-  // Interference is queried once per enumeration; the state-space searches
-  // re-enumerate the same graphs, so share one InterleavingInfo per
-  // (graph, version) through the analysis cache.
-  std::shared_ptr<const InterleavingInfo> itlv_ptr =
-      analysis_cache().interleaving(g);
-  const InterleavingInfo& itlv = *itlv_ptr;
+  InterleavingInfo itlv(g);
   // contested[v]: two potentially-parallel nodes both access v.
   std::vector<char> contested(g.num_vars(), 0);
   std::vector<VarId> mine, theirs;

@@ -3,9 +3,9 @@
 // The VM closes the loop on the paper's *executional* claims: instead of
 // scoring transformed programs analytically (semantics/cost.hpp) or
 // enumerating their interleavings (semantics/enumerator.hpp), it lowers the
-// graph to a flat instruction array and actually runs it — on one thread
-// under a seeded scheduler (the differential oracle's mode) or on real
-// threads through the work-stealing deques (the wall-clock bench's mode).
+// graph to a flat instruction array and actually runs it on one thread —
+// under a seeded scheduler (the differential oracle's mode) or under a
+// branch oracle with bottleneck-cost accounting (the cost model's mode).
 //
 // The lowering is intentionally shallow: one to two instructions per node,
 // region structure preserved as-is. Each region becomes one resumable task

@@ -1,14 +1,14 @@
 // Executors for the parallel-flow-graph bytecode.
 //
-// Three modes over one instruction set:
+// Two modes over one instruction set, both on one OS thread:
 //
-//  * run_seeded — the oracle's mode. One OS thread, but every instruction
-//    boundary is a schedule point: a pinned xoshiro stream picks uniformly
-//    among the runnable tasks, so one (program, seed) pair names exactly
-//    one maximal interleaving, reproducible on any platform. Right-hand
-//    sides evaluate in a single step (the Remark 2.1 granularity), so with
-//    a split lowering the set of reachable final stores over all seeds is
-//    the enumerator's behaviour set — which is what makes seeded VM runs a
+//  * run_seeded — the oracle's mode. Every instruction boundary is a
+//    schedule point: a pinned xoshiro stream picks uniformly among the
+//    runnable tasks, so one (program, seed) pair names exactly one maximal
+//    interleaving, reproducible on any platform. Right-hand sides evaluate
+//    in a single step (the Remark 2.1 granularity), so with a split
+//    lowering the set of reachable final stores over all seeds is the
+//    enumerator's behaviour set — which is what makes seeded VM runs a
 //    sound sampling oracle (verify::vm_differential_check).
 //
 //  * run_with_oracle — the cost model's mode. Branches and nondeterministic
@@ -21,14 +21,7 @@
 //    executional-improvement regression test holds the two implementations
 //    against each other.
 //
-//  * run_parallel — the wall-clock mode. Par components become tasks on
-//    Chase-Lev work-stealing deques (vm/deque.hpp), one deque per
-//    worker, shared store in seq_cst atomics. Interleaving granularity here
-//    is the hardware's (individual loads and stores), strictly finer than
-//    the oracle's single-step rhs evaluation — fine for timing and TSan
-//    stress, not for behaviour-set comparisons.
-//
-// Join and barrier protocol (all modes): a spawner parks with its pc
+// Join and barrier protocol (both modes): a spawner parks with its pc
 // pre-set to the statement's ParEnd; the last component to halt re-enqueues
 // it. A task arriving at a barrier parks with its pc pre-set past the
 // barrier; the statement releases all waiters when every *live* component
@@ -102,14 +95,5 @@ class SeededRunner {
 // decisions and visit counting mirror semantics/cost.hpp.
 ExecResult run_with_oracle(const VmProgram& p, BranchOracle& oracle,
                            const ExecLimits& limits = {});
-
-struct ParallelOptions {
-  std::size_t workers = 0;   // 0 = hardware concurrency (capped at regions)
-  std::uint64_t seed = 0;    // perturbs each worker's steal-victim order
-  std::size_t max_steps = 1u << 22;  // global instruction budget
-};
-
-// Free-running execution on real threads; time/computations stay 0.
-ExecResult run_parallel(const VmProgram& p, const ParallelOptions& opts = {});
 
 }  // namespace parcm::vm

@@ -2,7 +2,7 @@
 // directed-view RPO/member indexing, the once-per-solve region metadata,
 // sparse-vs-FIFO and packed-vs-scalar differentials on random programs, the
 // relaxation-count regression the sparse seeding is expected to win, and
-// the cross-pass analysis cache.
+// the cross-pass analysis cache's bundle lifetime.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -318,37 +318,7 @@ TEST(RelaxationRegression, ParNestedSparseAtLeastHalvesFifo) {
   EXPECT_LE(r.sparse, g.num_nodes());
 }
 
-// --- graph version + analysis cache -------------------------------------------
-
-TEST(GraphVersion, MutationsBumpAndCopiesInherit) {
-  Graph g;
-  std::uint64_t v0 = g.version();
-  Graph copy = g;
-  EXPECT_EQ(copy.version(), v0);
-  g.intern_var("q");
-  EXPECT_NE(g.version(), v0);
-  EXPECT_EQ(copy.version(), v0);
-  std::uint64_t v1 = g.version();
-  NodeId n = g.new_node(NodeKind::kSkip, g.root_region());
-  EXPECT_NE(g.version(), v1);
-  std::uint64_t v2 = g.version();
-  g.node(n).label = "l";  // non-const accessor counts as a mutation
-  EXPECT_NE(g.version(), v2);
-}
-
-TEST(AnalysisCache, HitsOnUnmodifiedGraphAndIdenticalRebuild) {
-  Graph g1 = lang::compile_or_throw("x := a + b; y := a + b;");
-  AnalysisCache cache;
-  auto b1 = cache.acquire(g1);
-  ASSERT_EQ(b1->terms.size(), 1u);
-  EXPECT_EQ(cache.acquire(g1).get(), b1.get());
-  // A separately built but structurally identical graph has a different
-  // version; the content hash still hits.
-  Graph g2 = lang::compile_or_throw("x := a + b; y := a + b;");
-  EXPECT_NE(g1.version(), g2.version());
-  EXPECT_EQ(structural_hash(g1), structural_hash(g2));
-  EXPECT_EQ(cache.acquire(g2).get(), b1.get());
-}
+// --- analysis cache ----------------------------------------------------------
 
 TEST(AnalysisCache, MutationInvalidatesAndBundleOutlivesIt) {
   Graph g = lang::compile_or_throw("x := a + b; y := c + d;");
@@ -367,29 +337,6 @@ TEST(AnalysisCache, MutationInvalidatesAndBundleOutlivesIt) {
   EXPECT_EQ(after->terms.size(), 3u);
   // The old shared_ptr stays valid for passes still holding it.
   EXPECT_EQ(before->terms.size(), 2u);
-}
-
-TEST(AnalysisCache, InterleavingKeyedByIdentityAndVersion) {
-  Graph g = families::par_wide(2, 4);
-  AnalysisCache cache;
-  auto i1 = cache.interleaving(g);
-  EXPECT_EQ(cache.interleaving(g).get(), i1.get());
-  g.intern_var("fresh");
-  auto i2 = cache.interleaving(g);
-  EXPECT_NE(i2.get(), i1.get());
-  // A structurally identical copy at a different address must not reuse the
-  // pointer-keyed slot.
-  Graph copy = families::par_wide(2, 4);
-  EXPECT_NE(cache.interleaving(copy).get(), i2.get());
-}
-
-TEST(AnalysisCache, ClearDropsSlots) {
-  Graph g = lang::compile_or_throw("x := a + b;");
-  AnalysisCache cache;
-  auto b1 = cache.acquire(g);
-  cache.clear();
-  // Same version, but the slot is gone: a fresh bundle is built.
-  EXPECT_NE(cache.acquire(g).get(), b1.get());
 }
 
 }  // namespace

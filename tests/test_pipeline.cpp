@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analyses/cache.hpp"
 #include "figures/figures.hpp"
 #include "ir/validate.hpp"
 #include "lang/lower.hpp"
@@ -81,8 +80,6 @@ TEST(Pipeline, ConstpropEnablesDce) {
 // Runs the default pipeline on `g` with a fresh registry installed and
 // returns the counter snapshot the run produced.
 std::map<std::string, std::uint64_t> counters_of_run(const Graph& g) {
-  // Cold analysis cache, so repeated runs see identical hit/miss counters.
-  analysis_cache().clear();
   obs::Registry local;
   obs::Registry* prev = obs::set_registry(&local);
   default_pipeline().run(g);

@@ -1,14 +1,11 @@
 // Unit coverage for the bytecode VM: lowering shape, seeded determinism,
 // eval semantics, join/barrier protocol (including the zero-statement
 // component edge case the lowering surfaced), cost parity against the
-// analytic walker, the per-path executional-improvement property on the
-// paper's figures, and the Chase–Lev deque run_parallel schedules on
-// (including a multithreaded hammer test meant to run under TSan).
+// analytic walker, and the per-path executional-improvement property on the
+// paper's figures.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "figures/figures.hpp"
@@ -17,7 +14,6 @@
 #include "semantics/enumerator.hpp"
 #include "verify/fuzz.hpp"
 #include "vm/bytecode.hpp"
-#include "vm/deque.hpp"
 #include "vm/executor.hpp"
 #include "vm/harness.hpp"
 
@@ -202,7 +198,7 @@ TEST(VmJoin, TrailingBarrierResumesIntoHalt) {
   // Regression (found by the fuzz shape pool): a barrier that is the final
   // statement of its component patches its post-barrier edge to the
   // component exit, so the release re-enqueues the task with pc already at
-  // kHaltPc. Both executors must treat that resume as the halt itself, not
+  // kHaltPc. The executor must treat that resume as the halt itself, not
   // fetch through the sentinel. Covers barrier-only components and a
   // trailing barrier inside a nested par.
   Graph g = lang::compile_or_throw(R"(
@@ -217,14 +213,6 @@ TEST(VmJoin, TrailingBarrierResumesIntoHalt) {
   for (std::uint64_t s = 0; s < 48; ++s) {
     ExecResult r = run_seeded(p, s);
     ASSERT_TRUE(r.ok) << "seed " << s << " deadlocked";
-    EXPECT_EQ(r.store[g.find_var("c")->index()], 3);
-  }
-  ParallelOptions popts;
-  popts.workers = 3;
-  for (std::uint64_t s = 0; s < 8; ++s) {
-    popts.seed = s;
-    ExecResult r = run_parallel(p, popts);
-    ASSERT_TRUE(r.ok) << "seed " << s;
     EXPECT_EQ(r.store[g.find_var("c")->index()], 3);
   }
 }
@@ -350,57 +338,6 @@ TEST(VmCost, ExecutionalImprovementOnFigures) {
   }
 }
 
-// --- parallel mode: real threads through the work-stealing deques ---
-
-TEST(VmParallel, SequentialProgramMatchesSeededRun) {
-  Graph g = lang::compile_or_throw(R"(
-    a := 5; b := a + 2; c := a * b; d := c - b;
-  )");
-  VmProgram p = lower_to_bytecode(g);
-  ExecResult seeded = run_seeded(p, 1);
-  ParallelOptions popts;
-  popts.workers = 4;
-  ExecResult par = run_parallel(p, popts);
-  ASSERT_TRUE(seeded.ok && par.ok);
-  EXPECT_EQ(par.store, seeded.store);
-}
-
-TEST(VmParallel, FiguresTerminateOnRealThreads) {
-  const Graph figures[] = {figures::fig2(), figures::fig7(), figures::fig10()};
-  for (const Graph& g : figures) {
-    VmProgram p = lower_to_bytecode(g);
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      ParallelOptions popts;
-      popts.workers = 4;
-      popts.seed = seed;
-      ExecResult r = run_parallel(p, popts);
-      EXPECT_TRUE(r.ok);
-      EXPECT_FALSE(r.deadlocked);
-      EXPECT_GT(r.instrs, 0u);
-    }
-  }
-}
-
-TEST(VmParallel, BarrierAndEmptyComponentsOnRealThreads) {
-  Graph g = lang::compile_or_throw(R"(
-    par {
-      par { a := 1; barrier; b := a + 1; } and { skip; }
-    } and {
-      c := 3;
-    }
-    d := b + c;
-  )");
-  VmProgram p = lower_to_bytecode(g);
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    ParallelOptions popts;
-    popts.workers = 3;
-    popts.seed = seed;
-    ExecResult r = run_parallel(p, popts);
-    ASSERT_TRUE(r.ok) << "seed " << seed;
-    EXPECT_EQ(r.store[g.find_var("d")->index()], 5);
-  }
-}
-
 // --- corpus harness smoke ---
 
 TEST(VmHarness, SmallCorpusIsCleanAndDeterministic) {
@@ -416,69 +353,6 @@ TEST(VmHarness, SmallCorpusIsCleanAndDeterministic) {
   EXPECT_TRUE(a.ok());
   CorpusReport b = run_exec_corpus(opts);
   EXPECT_EQ(a.to_json(), b.to_json());
-}
-
-// --- Chase–Lev deque (run_parallel's scheduler) --------------------------
-
-TEST(WorkStealingDeque, OwnerLifoThiefFifo) {
-  WorkStealingDeque dq(8);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_TRUE(dq.push(i));
-  std::size_t v = 0;
-  EXPECT_TRUE(dq.pop(&v));
-  EXPECT_EQ(v, 4u);  // owner pops newest
-  EXPECT_TRUE(dq.steal(&v));
-  EXPECT_EQ(v, 0u);  // thief steals oldest
-  EXPECT_TRUE(dq.steal(&v));
-  EXPECT_EQ(v, 1u);
-  EXPECT_TRUE(dq.pop(&v));
-  EXPECT_EQ(v, 3u);
-  EXPECT_TRUE(dq.pop(&v));
-  EXPECT_EQ(v, 2u);
-  EXPECT_FALSE(dq.pop(&v));
-  EXPECT_FALSE(dq.steal(&v));
-  EXPECT_TRUE(dq.empty());
-}
-
-TEST(WorkStealingDeque, RejectsPushBeyondCapacity) {
-  WorkStealingDeque dq(4);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(dq.push(i));
-  EXPECT_FALSE(dq.push(99));
-  std::size_t v = 0;
-  EXPECT_TRUE(dq.steal(&v));
-  EXPECT_TRUE(dq.push(99));  // slot freed by the steal
-}
-
-// Owner pops + concurrent thieves: every pushed item is claimed exactly
-// once. This is the test TSan watches for ordering bugs in push/pop/steal.
-TEST(WorkStealingDeque, HammerEveryItemClaimedOnce) {
-  constexpr std::size_t kItems = 20000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque dq(1 << 15);
-  std::vector<std::atomic<int>> claimed(kItems);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      std::size_t v;
-      while (!done.load(std::memory_order_acquire)) {
-        if (dq.steal(&v)) claimed[v].fetch_add(1);
-      }
-      while (dq.steal(&v)) claimed[v].fetch_add(1);
-    });
-  }
-  std::size_t v;
-  for (std::size_t i = 0; i < kItems; ++i) {
-    while (!dq.push(i)) {
-      if (dq.pop(&v)) claimed[v].fetch_add(1);
-    }
-    if (i % 3 == 0 && dq.pop(&v)) claimed[v].fetch_add(1);
-  }
-  while (dq.pop(&v)) claimed[v].fetch_add(1);
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : thieves) t.join();
-  for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(claimed[i].load(), 1) << "item " << i;
-  }
 }
 
 }  // namespace
