@@ -8,7 +8,6 @@
 
 #include "bench_support.hpp"
 
-#include "analyses/liveness.hpp"
 #include "motion/bcm.hpp"
 #include "motion/lcm.hpp"
 #include "motion/pcm.hpp"

@@ -188,25 +188,6 @@ class Graph {
   // components (the paper's Nodes(G') for a component G').
   avector<NodeId> nodes_in_region_recursive(RegionId r) const;
 
-  // Callback-style variant for hot loops: visits the same nodes without
-  // materializing a vector per call. Region traversal order matches
-  // nodes_in_region_recursive.
-  template <class Fn>
-  void for_each_node_in_region_recursive(RegionId r, Fn&& fn) const {
-    avector<RegionId> stack{r};
-    while (!stack.empty()) {
-      RegionId cur = stack.back();
-      stack.pop_back();
-      const Region& reg = regions_[cur.index()];
-      for (NodeId n : reg.nodes) fn(n);
-      for (ParStmtId s : reg.child_stmts) {
-        for (RegionId comp : par_stmts_[s.index()].components) {
-          stack.push_back(comp);
-        }
-      }
-    }
-  }
-
   // The unique component entry node: target of the ParBegin edge into r.
   // Derived from edges, so call only once the statement is fully wired.
   NodeId component_entry(RegionId r) const;

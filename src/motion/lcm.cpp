@@ -1,11 +1,11 @@
 #include "motion/lcm.hpp"
 
-#include <deque>
-
 #include "analyses/cache.hpp"
+#include "dfa/packed.hpp"
 #include "ir/printer.hpp"
 #include "ir/regions.hpp"
 #include "ir/transform_utils.hpp"
+#include "motion/dce.hpp"
 #include "obs/remarks.hpp"
 #include "support/diagnostics.hpp"
 
@@ -17,45 +17,36 @@ LcmInternals compute_lcm_internals(const Graph& g, const TermTable& terms,
   std::size_t k = terms.size();
   LcmInternals res;
 
+  // Both fixpoints run on the packed engine (dfa/packed). A sequential
+  // graph has no parallel statement, so only its value step runs: a must
+  // problem, out = (entry & ~kill) | gen with entry the meet over
+  // predecessors in flow direction.
+  auto problem = [&](Direction dir, BitVector boundary) {
+    PackedProblem p;
+    p.dir = dir;
+    p.num_terms = k;
+    p.boundary = std::move(boundary);
+    p.destroy.assign(g.num_nodes(), BitVector(k));
+    p.gen.reserve(g.num_nodes());
+    p.kill.reserve(g.num_nodes());
+    return p;
+  };
+
   // Delayability (forward, must): an initialization placed at the earliest
   // points can be postponed to n's entry iff on *every* path an earliest
   // point has been passed and no original computation consumed the value
-  // since. delay_out kills at computations (they are the consumers).
-  res.delay_in.assign(g.num_nodes(), BitVector(k, true));
-  std::vector<BitVector> delay_out(g.num_nodes(), BitVector(k, true));
-  res.delay_in[g.start().index()] = mp.earliest[g.start().index()];
-  {
-    BitVector out = res.delay_in[g.start().index()];
-    out.and_not(preds.comp(g.start()));
-    delay_out[g.start().index()] = std::move(out);
-  }
-  std::deque<NodeId> worklist;
-  std::vector<char> queued(g.num_nodes(), 0);
+  // since: delay_in = entry | earliest, and a computation (the consumer)
+  // kills on the way out. Nothing is delayed into s* but its own earliest
+  // terms.
+  PackedProblem delay = problem(Direction::kForward, BitVector(k));
   for (NodeId n : g.all_nodes()) {
-    if (n == g.start()) continue;
-    worklist.push_back(n);
-    queued[n.index()] = 1;
+    delay.gen.push_back(mp.earliest[n.index()]);
+    delay.gen.back().and_not(preds.comp(n));
+    delay.kill.push_back(preds.comp(n));
   }
-  while (!worklist.empty()) {
-    NodeId n = worklist.front();
-    worklist.pop_front();
-    queued[n.index()] = 0;
-    BitVector in(k, true);
-    for (NodeId m : g.preds(n)) in &= delay_out[m.index()];
-    in |= mp.earliest[n.index()];
-    BitVector out = in;
-    out.and_not(preds.comp(n));
-    if (in == res.delay_in[n.index()] && out == delay_out[n.index()]) {
-      continue;
-    }
-    res.delay_in[n.index()] = std::move(in);
-    delay_out[n.index()] = std::move(out);
-    for (NodeId m : g.succs(n)) {
-      if (m != g.start() && !queued[m.index()]) {
-        queued[m.index()] = 1;
-        worklist.push_back(m);
-      }
-    }
+  res.delay_in = solve_packed(g, delay).entry;
+  for (NodeId n : g.all_nodes()) {
+    res.delay_in[n.index()] |= mp.earliest[n.index()];
   }
 
   // Latest: the frontier of delayability — delayed here, but not delayable
@@ -71,33 +62,19 @@ LcmInternals compute_lcm_internals(const Graph& g, const TermTable& terms,
   }
 
   // Usefulness (backward, may): some later computation consumes the value
-  // initialized at n — i.e. a path from n reaches a Comp node that is not
-  // itself a latest point, without first crossing another latest point.
-  res.useful.assign(g.num_nodes(), BitVector(k));
+  // initialized at n — a path from n reaches a Comp node that is not itself
+  // a latest point, without first crossing another latest point. Solved as
+  // its complement, a must problem: the value is useless at n iff every
+  // successor is a latest point (the consumers below it belong to that
+  // insertion) or neither consumes it nor passes it on usefully.
+  PackedProblem useless = problem(Direction::kBackward, BitVector(k, true));
   for (NodeId n : g.all_nodes()) {
-    worklist.push_back(n);
-    queued[n.index()] = 1;
+    useless.gen.push_back(res.latest[n.index()]);
+    useless.kill.push_back(preds.comp(n));
+    useless.kill.back().and_not(res.latest[n.index()]);
   }
-  while (!worklist.empty()) {
-    NodeId n = worklist.front();
-    worklist.pop_front();
-    queued[n.index()] = 0;
-    BitVector out(k);
-    for (NodeId m : g.succs(n)) {
-      // Consumers below a later latest point belong to that insertion.
-      BitVector not_latest = res.latest[m.index()];
-      not_latest.invert();
-      out |= (preds.comp(m) | res.useful[m.index()]) & not_latest;
-    }
-    if (out == res.useful[n.index()]) continue;
-    res.useful[n.index()] = std::move(out);
-    for (NodeId m : g.preds(n)) {
-      if (!queued[m.index()]) {
-        queued[m.index()] = 1;
-        worklist.push_back(m);
-      }
-    }
-  }
+  res.useful = solve_packed(g, useless).entry;
+  for (BitVector& u : res.useful) u.invert();
   return res;
 }
 
@@ -202,6 +179,17 @@ MotionResult lazy_code_motion(const Graph& g) {
     }
   }
   return res;
+}
+
+std::size_t total_temp_lifetime(const Graph& g, const std::string& prefix) {
+  ParallelLiveness live = compute_parallel_liveness(g, BitVector(g.num_vars()));
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < g.num_vars(); ++i) {
+    VarId v(static_cast<VarId::underlying>(i));
+    if (g.var_name(v).rfind(prefix, 0) != 0) continue;
+    for (NodeId n : g.all_nodes()) total += live.live_in(n, v) ? 1 : 0;
+  }
+  return total;
 }
 
 }  // namespace parcm

@@ -16,6 +16,8 @@
 // executional-improvement guarantee requires.
 #pragma once
 
+#include <string>
+
 #include "motion/code_motion.hpp"
 
 namespace parcm {
@@ -35,5 +37,14 @@ LcmInternals compute_lcm_internals(const Graph& split_graph,
                                    const TermTable& terms,
                                    const LocalPredicates& preds,
                                    const MotionPredicates& mp);
+
+// Temporary lifetimes, the register-pressure measure behind laziness: the
+// number of (node, temporary) pairs with the temporary live on entry to the
+// node, over the variables whose names start with `prefix` (the "h_"
+// convention of the motion passes). One compute_parallel_liveness solve
+// (motion/dce.hpp) with nothing observed at e*; on a parallel graph it also
+// counts the liveness that interference adds.
+std::size_t total_temp_lifetime(const Graph& g,
+                                const std::string& prefix = "h_");
 
 }  // namespace parcm

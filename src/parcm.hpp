@@ -13,7 +13,7 @@
 //   ir/         parallel flow graphs, builder, validation, printers
 //   lang/       the textual program language (lexer/parser/lowering)
 //   dfa/        the hierarchical bitvector framework (PMFP_BV)
-//   analyses/   up-/down-safety, earliest/replace predicates, liveness
+//   analyses/   up-/down-safety, earliest/replace predicates, constants
 //   motion/     BCM, LCM, PCM (+ naive baseline), dead-code elimination
 //   semantics/  interpreter, enumerator, cost model, product program
 //   figures/    the paper's figures as executable programs
@@ -23,7 +23,6 @@
 #include "analyses/downsafety.hpp"
 #include "analyses/earliest.hpp"
 #include "analyses/constprop.hpp"
-#include "analyses/liveness.hpp"
 #include "analyses/predicates.hpp"
 #include "analyses/upsafety.hpp"
 #include "dfa/framework.hpp"
