@@ -20,8 +20,12 @@ class Generator {
   Graph run() {
     block(0);
     // Guarantee at least one movable computation so downstream consumers
-    // (term tables, analyses) have something to chew on.
-    builder_.assign(pick_var(), Rhs(random_term()));
+    // (term tables, analyses) have something to chew on. The term is drawn
+    // before the variable: two draws in one argument list would leave their
+    // order, and so the program, to the compiler.
+    Term t = random_term();
+    VarId lhs = pick_var();
+    builder_.assign(lhs, Rhs(t));
     return builder_.finish();
   }
 
@@ -141,8 +145,11 @@ class AstGenerator {
   lang::Program run() {
     lang::Program p;
     block(&p.body, 0);
-    // Guarantee at least one movable computation (mirrors Generator::run).
-    p.body.push_back(assign_stmt(pick_var(), random_term()));
+    // Guarantee at least one movable computation (mirrors Generator::run,
+    // term first).
+    lang::AExpr t = random_term();
+    std::string lhs = pick_var();
+    p.body.push_back(assign_stmt(std::move(lhs), std::move(t)));
     return p;
   }
 
