@@ -2,9 +2,11 @@
 //
 // Generates random parallel programs, runs them through a transformation
 // pipeline, and checks every result against the oracle
-// (verify::differential_check). Confirmed divergences are delta-debugged to
-// a minimal reproducer. Fully reproducible: the same --seed yields the same
-// programs, schedules and verdicts in any process.
+// (verify::differential_check) and against the executional-improvement
+// guarantee: no program may run slower after the transformation on any of
+// 16 seeded paths (paired_execution_times). Confirmed divergences are
+// delta-debugged to a minimal reproducer. Fully reproducible: the same
+// --seed yields the same programs, schedules and verdicts in any process.
 //
 //   parcm_fuzz [options]
 //     --seed N          campaign seed (default 1)
@@ -22,7 +24,8 @@
 //     --seconds S       wall-clock cap in seconds (0 = none)
 //     --inject MODE     flip a safety ingredient to test the oracle:
 //                       naive | no-privatize | no-parend-export | no-sink
-//     --expect-catch    exit 0 iff the injected miscompile WAS caught
+//     --expect-catch    exit 0 iff the injected miscompile WAS caught (a
+//                       divergence or a slower path)
 //     --out DIR         write repro_<seed>_<i>.parcm + .regression.cpp
 //     --no-reduce       skip delta debugging of failures
 //     --atomic          check under atomic-assignment semantics instead of
@@ -45,7 +48,8 @@
 //                       parcm_opt --replay); also arms the flight recorder
 //
 // Exit codes: 0 clean (or caught, with --expect-catch), 1 unexpected
-// divergence, 2 usage error, 4 injected miscompile not caught.
+// divergence or slower path, 2 usage error, 4 injected miscompile not
+// caught.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -173,7 +177,7 @@ int main(int argc, char** argv) {
   }
 
   if (expect_catch) {
-    if (outcome.divergences > 0) {
+    if (outcome.divergences > 0 || outcome.slower > 0) {
       std::cout << "injected miscompile caught\n";
       return 0;
     }

@@ -341,6 +341,32 @@ TEST(Fuzz, InjectedMiscompileIsCaughtAndReduced) {
   EXPECT_EQ(verify::Status::kDiverged, v.status) << f.reduced_source;
 }
 
+TEST(Fuzz, SlowerPathFailsTheCampaign) {
+  // no-sink keeps anchors where a path initializes the temporary twice.
+  // The output stays sequentially consistent, so neither oracle can flag
+  // it; the campaign's cost check over seeded paths does.
+  verify::FuzzOptions opt;
+  opt.seed = 7;
+  opt.count = 8;
+  opt.pipeline = "pcm";
+  opt.inject.enabled = true;
+  opt.inject.mode = "no-sink";
+  opt.budget.max_states = 1u << 12;
+  opt.reduce = false;
+  verify::FuzzOutcome out = verify::run_fuzz(opt);
+  EXPECT_EQ(0u, out.divergences) << out.summary();
+  EXPECT_EQ(4u, out.slower) << out.summary();
+  EXPECT_EQ((std::vector<std::size_t>{1, 2, 4, 6}), out.slower_indices);
+  EXPECT_FALSE(out.ok());
+  EXPECT_NE(std::string::npos, out.to_json().find("\"slower\":4"));
+  EXPECT_NE(std::string::npos, out.summary().find("4 programs slower"));
+
+  opt.inject.enabled = false;
+  verify::FuzzOutcome clean = verify::run_fuzz(opt);
+  EXPECT_EQ(0u, clean.slower) << clean.summary();
+  EXPECT_TRUE(clean.ok()) << clean.summary();
+}
+
 TEST(Fuzz, CampaignIsReproducible) {
   verify::FuzzOptions opt;
   opt.seed = 7;
