@@ -1,7 +1,8 @@
 #include "motion/code_motion.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <optional>
+#include <span>
 
 #include "analyses/cache.hpp"
 #include "dfa/region_meta.hpp"
@@ -118,6 +119,54 @@ struct RegionFolds {
   }
 };
 
+// Per-term node lists of one predicate, transposed from its per-node rows
+// in one pass (CSR by term, nodes ascending).
+struct TermNodeLists {
+  std::vector<std::size_t> offset;  // num_terms + 1
+  std::vector<NodeId> nodes;
+
+  TermNodeLists(const std::vector<BitVector>& rows, std::size_t num_nodes,
+                std::size_t num_terms)
+      : offset(num_terms + 1, 0) {
+    for (std::size_t n = 0; n < num_nodes; ++n) {
+      rows[n].for_each_set_bit([&](std::size_t t) { ++offset[t + 1]; });
+    }
+    for (std::size_t t = 0; t < num_terms; ++t) offset[t + 1] += offset[t];
+    nodes.resize(offset[num_terms]);
+    std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
+    for (std::size_t n = 0; n < num_nodes; ++n) {
+      rows[n].for_each_set_bit([&](std::size_t t) {
+        nodes[cursor[t]++] = NodeId(static_cast<NodeId::underlying>(n));
+      });
+    }
+  }
+
+  std::span<const NodeId> of(TermId t) const {
+    return {nodes.data() + offset[t.index()],
+            nodes.data() + offset[t.index() + 1]};
+  }
+};
+
+// Per-run scratch of privatize_term: the parallel statements innermost
+// first (statements never change during a run, so they are sorted once),
+// and per component region the nodes of its subtree that may name the
+// term's temporary.
+struct PrivatizeScratch {
+  std::vector<ParStmtId> order;
+  std::vector<std::vector<NodeId>> accesses;  // by region
+  std::vector<RegionId> filled;
+
+  explicit PrivatizeScratch(const Graph& g) : accesses(g.num_regions()) {
+    for (std::size_t i = 0; i < g.num_par_stmts(); ++i) {
+      order.push_back(ParStmtId(static_cast<ParStmtId::underlying>(i)));
+    }
+    std::sort(order.begin(), order.end(), [&](ParStmtId a, ParStmtId b) {
+      return g.region_depth(g.par_stmt(a).parent_region) >
+             g.region_depth(g.par_stmt(b).parent_region);
+    });
+  }
+};
+
 // Component-private temporaries (refined variant): inside a parallel
 // statement where some node modifies an operand of the term, sibling
 // components may write stale values into the shared temporary while another
@@ -128,21 +177,33 @@ struct RegionFolds {
 // the unique operand-modifying component establishing up-safety at the exit
 // (h := h_C after the ParEnd). Processes statements innermost-first so an
 // outer rename uniformly captures inner bridges.
+//
+// The temporary is fresh, so only the term's own initializations,
+// replacements and bridges can name it. Each of them is filed under every
+// component region enclosing it, so a component reads its own accesses
+// instead of walking its subtree.
 void privatize_term(Graph& out, const RegionFolds& folds,
-                    const SafetyInfo& safety, TermMotion& motion) {
+                    const SafetyInfo& safety, TermMotion& motion,
+                    PrivatizeScratch& scratch) {
   TermId t = motion.term;
   std::size_t ti = t.index();
 
-  std::vector<ParStmtId> order;
-  for (std::size_t i = 0; i < out.num_par_stmts(); ++i) {
-    order.push_back(ParStmtId(static_cast<ParStmtId::underlying>(i)));
-  }
-  std::sort(order.begin(), order.end(), [&](ParStmtId a, ParStmtId b) {
-    return out.region_depth(out.par_stmt(a).parent_region) >
-           out.region_depth(out.par_stmt(b).parent_region);
-  });
+  auto add_access = [&](NodeId n) {
+    for (RegionId r = out.node(n).region; r != out.root_region();
+         r = out.par_stmt(out.region(r).owner).parent_region) {
+      std::vector<NodeId>& bucket = scratch.accesses[r.index()];
+      if (bucket.empty()) scratch.filled.push_back(r);
+      bucket.push_back(n);
+    }
+  };
+  for (NodeId n : motion.insert_nodes) add_access(n);
+  for (NodeId n : motion.replaced) add_access(n);
+  auto reads_temp = [&](const Node& node) {
+    return node.rhs.is_trivial() && node.rhs.trivial().is_var() &&
+           node.rhs.trivial().var_id() == motion.temp;
+  };
 
-  for (ParStmtId s : order) {
+  for (ParStmtId s : scratch.order) {
     const ParStmt& stmt = out.par_stmt(s);
     bool dirty = false;
     std::vector<char> comp_dirty;
@@ -163,18 +224,13 @@ void privatize_term(Graph& out, const RegionFolds& folds,
         dirty_comp = comp;
       }
       // Rename accesses of the shared temp within this component.
-      bool any_access = false;
-      avector<NodeId> members = out.nodes_in_region_recursive(comp);
-      for (NodeId n : members) {
-        Node& node = out.node(n);
-        if (node.kind != NodeKind::kAssign) continue;
-        if (node.lhs == motion.temp ||
-            (node.rhs.is_trivial() && node.rhs.trivial().is_var() &&
-             node.rhs.trivial().var_id() == motion.temp)) {
-          any_access = true;
-          break;
-        }
-      }
+      const std::vector<NodeId>& members = scratch.accesses[comp.index()];
+      bool any_access = std::any_of(
+          members.begin(), members.end(), [&](NodeId n) {
+            const Node& node = out.node(n);
+            return node.kind == NodeKind::kAssign &&
+                   (node.lhs == motion.temp || reads_temp(node));
+          });
       if (!any_access) continue;
 
       VarId priv = out.intern_var(out.var_name(motion.temp) + "_c" +
@@ -192,15 +248,13 @@ void privatize_term(Graph& out, const RegionFolds& folds,
         Node& node = out.node(n);
         if (node.kind != NodeKind::kAssign) continue;
         if (node.lhs == motion.temp) node.lhs = priv;
-        if (node.rhs.is_trivial() && node.rhs.trivial().is_var() &&
-            node.rhs.trivial().var_id() == motion.temp) {
-          node.rhs = Rhs(Operand::var(priv));
-        }
+        if (reads_temp(node)) node.rhs = Rhs(Operand::var(priv));
       }
       // Entry bridge: carry an upstream value of the shared temp in.
       NodeId bridge = out.new_assign(comp, priv, Rhs(Operand::var(motion.temp)));
       out.splice_before(bridge, out.component_entry(comp));
       motion.bridge_nodes.push_back(bridge);
+      add_access(bridge);
       PARCM_OBS_REMARK(obs::Remark{
           obs::RemarkKind::kInserted, "", bridge.value(),
           static_cast<std::int64_t>(t.index()),
@@ -228,15 +282,23 @@ void privatize_term(Graph& out, const RegionFolds& folds,
                                          Rhs(Operand::var(priv)));
           wire_on_edge(out, e, bridge);
           motion.bridge_nodes.push_back(bridge);
+          add_access(bridge);
         }
       }
     }
   }
+  for (RegionId r : scratch.filled) scratch.accesses[r.index()].clear();
+  scratch.filled.clear();
 }
 
 }  // namespace
 
 MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
+  return run_code_motion(g, config, PlacementObserver());
+}
+
+MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config,
+                             const PlacementObserver& observer) {
   PARCM_OBS_TIMER("motion.run_code_motion");
   MotionResult res{g, 0, {}, {}, {}};
   Graph& out = res.graph;
@@ -258,8 +320,12 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
 
   PARCM_OBS_TIMER("motion.placement");
 
-  // Node set is about to grow; iterate over a snapshot of the analyzed ids.
-  avector<NodeId> analyzed(out.all_nodes().begin(), out.all_nodes().end());
+  // The node set is about to grow; ids below `analyzed` carry predicates.
+  const std::size_t analyzed = out.num_nodes();
+  const TermNodeLists earliest_nodes(res.predicates.earliest, analyzed,
+                                     terms.size());
+  const TermNodeLists replace_nodes(res.predicates.replace, analyzed,
+                                    terms.size());
 
   // Down-safety legitimately flows backward across a ParEnd into components
   // that are completely transparent for a term (the anticipated use lies
@@ -300,61 +366,21 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
   // ParEnd. Elsewhere the descent still stops at its ParBegin, which keeps
   // the established placements (Fig. 10's golden dump). Paths on which the
   // BFS dies need no anchor at all — which also erases anchors made fully
-  // redundant by a later one.
+  // redundant by a later one. "Every continuation reaches a consumer" is
+  // MUSTUSE, solved per anchor on the cone of nodes the descent can read
+  // (motion/mustuse.hpp).
 
-  // Helpers over the (possibly already grown) graph: nodes materialized for
-  // earlier terms are temp initializations and trivial copies — transparent,
-  // never consumers, never anchors.
-  auto is_replace = [&](NodeId n, TermId t) {
-    return n.index() < analyzed.size() &&
-           res.predicates.replace[n.index()].test(t.index());
-  };
-  auto is_transp = [&](NodeId n, TermId t) {
-    return n.index() >= analyzed.size() || preds.transp(n, t);
-  };
-  auto is_blocking = [&](NodeId n, const std::vector<char>& blocking) {
-    return n.index() < analyzed.size() && blocking[n.index()];
-  };
-
-  // Least-fixpoint MUSTUSE: every maximal path from n reaches a replacement
-  // of t before a kill or an anchor of the blocking set (loops stay false:
-  // the frontier then sinks to the consumer, which is always sound).
-  auto compute_mustuse = [&](TermId t, const std::vector<char>& blocking) {
-    std::vector<char> mustuse(out.num_nodes(), 0);
-    std::deque<NodeId> worklist;
-    std::vector<char> queued(out.num_nodes(), 0);
-    auto enqueue_preds = [&](NodeId n) {
-      for (NodeId m : out.preds(n)) {
-        if (!queued[m.index()]) {
-          queued[m.index()] = 1;
-          worklist.push_back(m);
-        }
-      }
-    };
-    for (NodeId n : out.all_nodes()) {
-      if (is_replace(n, t)) {
-        mustuse[n.index()] = 1;
-        enqueue_preds(n);
-      }
-    }
-    while (!worklist.empty()) {
-      NodeId n = worklist.front();
-      worklist.pop_front();
-      queued[n.index()] = 0;
-      if (mustuse[n.index()] || is_replace(n, t)) continue;
-      if (!is_transp(n, t) || is_blocking(n, blocking) ||
-          out.node(n).out_edges.empty()) {
-        continue;
-      }
-      bool v = true;
-      for (NodeId m : out.succs(n)) v = v && mustuse[m.index()];
-      if (v) {
-        mustuse[n.index()] = 1;
-        enqueue_preds(n);
-      }
-    }
-    return mustuse;
-  };
+  // The blocking set: the term's current anchors. Reused across terms; a
+  // term clears the entries it set.
+  std::vector<char> in_set;
+  MustUseProblem problem;
+  problem.graph = &out;
+  problem.preds = &preds;
+  problem.replace = &res.predicates.replace;
+  problem.analyzed = analyzed;
+  problem.blocking = &in_set;
+  MustUseCone cone;
+  std::uint64_t cone_nodes = 0;
 
   auto par_end = [&](NodeId begin) {
     return out.par_stmt(out.node(begin).par_stmt).end;
@@ -366,27 +392,36 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
     return true;
   };
 
-  // Depth-first searches over the growing graph; a search takes a fresh
-  // epoch of the visit marks instead of clearing them.
-  std::vector<std::uint32_t> seen;
-  std::uint32_t epoch = 0;
-  std::vector<NodeId> search;
-  auto reachable = [&](NodeId from, auto&& found, auto&& expand) {
-    if (seen.size() < out.num_nodes()) seen.resize(out.num_nodes(), 0);
-    if (++epoch == 0) {
-      std::fill(seen.begin(), seen.end(), 0);
+  // Searches over the growing graph take a fresh epoch of their visit
+  // marks instead of clearing them: `seen` for reachability queries,
+  // `visited` for the descent that may issue them.
+  std::vector<std::uint32_t> seen, visited;
+  std::uint32_t seen_epoch = 0, visited_epoch = 0;
+  auto next_epoch = [&](std::vector<std::uint32_t>& marks,
+                        std::uint32_t& epoch) {
+    if (marks.size() < out.num_nodes()) marks.resize(out.num_nodes(), 0);
+    if (++epoch == 0) {  // wrapped: stale marks could alias the new epoch
+      std::fill(marks.begin(), marks.end(), 0);
       epoch = 1;
     }
+  };
+  std::vector<NodeId> search;
+  auto reachable = [&](NodeId from, auto&& found, auto&& expand) {
+    next_epoch(seen, seen_epoch);
     search.clear();
-    for (NodeId m : out.succs(from)) search.push_back(m);
+    for (EdgeId e : out.node(from).out_edges) {
+      search.push_back(out.edge(e).to);
+    }
     while (!search.empty()) {
       NodeId n = search.back();
       search.pop_back();
-      if (seen[n.index()] == epoch) continue;
-      seen[n.index()] = epoch;
+      if (seen[n.index()] == seen_epoch) continue;
+      seen[n.index()] = seen_epoch;
       if (found(n)) return true;
       if (!expand(n)) continue;
-      for (NodeId m : out.succs(n)) search.push_back(m);
+      for (EdgeId e : out.node(n).out_edges) {
+        search.push_back(out.edge(e).to);
+      }
     }
     return false;
   };
@@ -403,76 +438,80 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
     return cached == 1;
   };
 
-  // Sinks anchor a against the blocking set; returns the frontier (empty if
-  // every path dies first).
-  auto sink_anchor = [&](NodeId a, TermId t, const std::vector<char>& blocking,
-                         const std::vector<char>& mustuse) {
-    std::vector<NodeId> frontier;
-    if (is_replace(a, t)) {
+  // Sinks anchor a against the blocking set into `frontier` (empty if
+  // every path dies first); returns whether it solved a's cone.
+  std::vector<NodeId> frontier, stack;
+  auto sink_anchor = [&](NodeId a, TermId t) {
+    frontier.clear();
+    if (problem.is_replace(a)) {
       frontier.push_back(a);
-      return frontier;
+      return false;
     }
-    if (is_transp(a, t)) {
-      bool keep = !out.node(a).out_edges.empty();
-      for (NodeId m : out.succs(a)) keep = keep && mustuse[m.index()];
-      if (keep) {
-        frontier.push_back(a);
-        return frontier;
-      }
+    // The anchor's own node kills the value; nothing to sink past.
+    if (!problem.is_transp(a)) return false;
+    cone.solve(problem, a);
+    cone_nodes += cone.nodes().size();
+    bool keep = !out.node(a).out_edges.empty();
+    for (EdgeId e : out.node(a).out_edges) {
+      keep = keep && cone.mustuse(out.edge(e).to);
     }
-    std::vector<char> visited(out.num_nodes(), 0);
-    std::vector<NodeId> stack;
+    if (keep) {
+      frontier.push_back(a);
+      return true;
+    }
+    next_epoch(visited, visited_epoch);
+    stack.clear();
     auto push = [&](NodeId m) {
-      if (!visited[m.index()]) {
-        visited[m.index()] = 1;
+      if (visited[m.index()] != visited_epoch) {
+        visited[m.index()] = visited_epoch;
         stack.push_back(m);
       }
     };
-    if (!is_transp(a, t)) {
-      // The anchor's own node kills the value; nothing to sink past.
-      return frontier;
-    }
     if (out.node(a).kind == NodeKind::kParBegin && stmt_transparent(a, t)) {
       push(par_end(a));
     } else {
-      for (NodeId m : out.succs(a)) push(m);
+      for (EdgeId e : out.node(a).out_edges) push(out.edge(e).to);
     }
     while (!stack.empty()) {
       NodeId n = stack.back();
       stack.pop_back();
-      if (mustuse[n.index()] || is_replace(n, t)) {
+      if (cone.mustuse(n) || problem.is_replace(n)) {
         frontier.push_back(n);
         continue;
       }
       if (out.node(n).kind == NodeKind::kParBegin) {
-        if (!is_blocking(n, blocking) && stmt_transparent(n, t) &&
+        if (!problem.is_blocking(n) && stmt_transparent(n, t) &&
             on_cycle(n)) {
           push(par_end(n));
         } else if (reachable(
-                       n, [&](NodeId m) { return is_replace(m, t); },
+                       n, [&](NodeId m) { return problem.is_replace(m); },
                        [&](NodeId m) {
-                         return is_transp(m, t) && !is_blocking(m, blocking);
+                         return problem.is_transp(m) &&
+                                !problem.is_blocking(m);
                        })) {
           frontier.push_back(n);
         }
         continue;
       }
-      if (!is_transp(n, t)) continue;  // value dead on this path
-      if (is_blocking(n, blocking)) continue;
-      for (NodeId m : out.succs(n)) push(m);
+      if (!problem.is_transp(n)) continue;  // value dead on this path
+      if (problem.is_blocking(n)) continue;
+      for (EdgeId e : out.node(n).out_edges) push(out.edge(e).to);
     }
-    return frontier;
+    return true;
   };
 
   // Reused across terms: emit_batch leaves the capacity in place, so the
   // hot replacement loop allocates a remark buffer once per run.
   std::vector<obs::Remark> replace_batch;
+  std::optional<PrivatizeScratch> privatize;
+  std::vector<NodeId> candidates, anchors;
 
   for (TermId t : terms.all()) {
     TermMotion motion;
     motion.term = t;
     motion.term_value = terms.term(t);
     motion.temp = out.intern_var(fresh_temp_name(out, motion.term_value));
+    problem.term = t;
 
     // Remark emission is hot on large programs (one remark per insertion
     // and replacement); hoist the per-term invariant strings so each
@@ -491,10 +530,9 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
       }
     }
 
-    std::vector<char> in_set(out.num_nodes(), 0);
-    std::vector<NodeId> candidates;
-    for (NodeId n : analyzed) {
-      if (!res.predicates.earliest[n.index()].test(t.index())) continue;
+    in_set.resize(out.num_nodes(), 0);
+    candidates.clear();
+    for (NodeId n : earliest_nodes.of(t)) {
       if (useless_insert(n, t)) {
         PARCM_OBS_REMARK(obs::Remark{
             obs::RemarkKind::kBlocked, "", n.value(),
@@ -512,12 +550,11 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
     }
     // Sink each candidate against the current set (sequential updates keep
     // mutually-blocking anchors from vanishing together).
-    std::vector<NodeId> anchors;
+    anchors.clear();
     if (config.sink_anchors) {
       for (NodeId a : candidates) {
         in_set[a.index()] = 0;
-        std::vector<char> mustuse = compute_mustuse(t, in_set);
-        std::vector<NodeId> frontier = sink_anchor(a, t, in_set, mustuse);
+        if (sink_anchor(a, t) && observer) observer(problem, a, cone);
         for (NodeId m : frontier) {
           if (!in_set[m.index()]) {
             in_set[m.index()] = 1;
@@ -619,9 +656,10 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
             why, ""});
       }
     }
+    for (NodeId n : candidates) in_set[n.index()] = 0;
+    for (NodeId n : anchors) in_set[n.index()] = 0;
 
-    for (NodeId n : analyzed) {
-      if (!res.predicates.replace[n.index()].test(t.index())) continue;
+    for (NodeId n : replace_nodes.of(t)) {
       PARCM_CHECK(out.node(n).kind == NodeKind::kAssign,
                   "replacement at a non-assignment");
       out.node(n).rhs = Rhs(Operand::var(motion.temp));
@@ -643,7 +681,8 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
     if (config.variant == SafetyVariant::kRefined && config.privatize_temps &&
         out.num_par_stmts() > 0 &&
         (!motion.insert_nodes.empty() || !motion.replaced.empty())) {
-      privatize_term(out, folds, res.safety, motion);
+      if (!privatize) privatize.emplace(out);
+      privatize_term(out, folds, res.safety, motion, *privatize);
     }
 
     if (!motion.insert_nodes.empty() || !motion.replaced.empty()) {
@@ -657,6 +696,7 @@ MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config) {
   PARCM_OBS_COUNT("motion.terms_moved", res.terms.size());
   PARCM_OBS_COUNT("motion.insertions", res.num_insertions());
   PARCM_OBS_COUNT("motion.replacements", res.num_replacements());
+  PARCM_OBS_COUNT("motion.placement.cone_nodes", cone_nodes);
   return res;
 }
 

@@ -8,12 +8,14 @@
 //   4. replace every original computation at a Safe point by `h_t`.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "analyses/earliest.hpp"
 #include "ir/graph.hpp"
 #include "ir/terms.hpp"
+#include "motion/mustuse.hpp"
 
 namespace parcm {
 
@@ -73,6 +75,15 @@ struct MotionResult {
 // Applies busy code motion to a copy of g. Node ids of g remain valid in
 // the result graph (new nodes are only appended).
 MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config);
+
+// Watches anchor sinking: called once per Earliest candidate whose MUSTUSE
+// was solved, after the candidate sank, with the problem (term and
+// blocking set) and the cone it was solved on (motion/mustuse.hpp). Tests
+// compare the cone with a whole-graph solve; the placement is unchanged.
+using PlacementObserver = std::function<void(
+    const MustUseProblem& problem, NodeId anchor, const MustUseCone& cone)>;
+MotionResult run_code_motion(const Graph& g, const CodeMotionConfig& config,
+                             const PlacementObserver& observer);
 
 // Fresh temporary name for a term: "h_<lhs>_<op>_<rhs>", uniqued against the
 // graph's symbol table.
