@@ -20,7 +20,11 @@ ConsistencyVerdict check_sequential_consistency(
 
   EnumerationResult orig = enumerate_executions(original, observed, options);
   EnumerationResult trans = enumerate_executions(transformed, observed, options);
+  return compare_behaviours(orig, trans);
+}
 
+ConsistencyVerdict compare_behaviours(const EnumerationResult& orig,
+                                      const EnumerationResult& trans) {
   ConsistencyVerdict v;
   v.exhausted = orig.exhausted && trans.exhausted;
   v.original_behaviours = orig.finals.size();

@@ -33,6 +33,11 @@ ConsistencyVerdict check_sequential_consistency(
     std::vector<std::string> observed = {},
     const EnumerationOptions& options = {});
 
+// The verdict on two enumerations over the same observed variables (what
+// check_sequential_consistency returns after enumerating both sides).
+ConsistencyVerdict compare_behaviours(const EnumerationResult& original,
+                                      const EnumerationResult& transformed);
+
 // All variable names of g in interning order.
 std::vector<std::string> all_var_names(const Graph& g);
 

@@ -215,14 +215,19 @@ Verdict differential_check(const Graph& before, const Graph& after,
   Verdict v;
   v.observed = all_var_names(before);
 
-  if (before.num_nodes() <= budget.max_exact_nodes &&
+  // The original is enumerated once: its result decides whether an exact
+  // verdict is possible at all (a truncated original admits none, so the
+  // transformed side is then not enumerated), and it is the sampled
+  // fallback's reference.
+  EnumerationOptions opts;
+  opts.max_states = budget.max_states;
+  opts.atomic_assignments = !budget.split_assignments;
+  opts.partial_order_reduction = true;
+  EnumerationResult ref = enumerate_executions(before, v.observed, opts);
+  if (ref.exhausted && before.num_nodes() <= budget.max_exact_nodes &&
       after.num_nodes() <= budget.max_exact_nodes) {
-    EnumerationOptions opts;
-    opts.max_states = budget.max_states;
-    opts.atomic_assignments = !budget.split_assignments;
-    opts.partial_order_reduction = true;
-    ConsistencyVerdict cv =
-        check_sequential_consistency(before, after, v.observed, opts);
+    ConsistencyVerdict cv = compare_behaviours(
+        ref, enumerate_executions(after, v.observed, opts));
     if (cv.exhausted) {
       PARCM_OBS_COUNT("verify.exact", 1);
       v.exact = true;
@@ -253,12 +258,6 @@ Verdict differential_check(const Graph& before, const Graph& after,
   std::vector<std::optional<VarId>> after_proj =
       project_vars(after, v.observed);
 
-  EnumerationOptions partial;
-  partial.max_states = budget.max_states;
-  partial.atomic_assignments = !budget.split_assignments;
-  partial.partial_order_reduction = true;
-  EnumerationResult ref = enumerate_executions(before, v.observed, partial);
-
   SampleStats orig = sample_finals(before, before_proj, budget, 1);
   SampleStats trans = sample_finals(after, after_proj, budget, 2);
   if (trans.completed == 0 || (orig.completed == 0 && ref.finals.empty())) {
@@ -287,8 +286,8 @@ Verdict differential_check(const Graph& before, const Graph& after,
     // cheaper than the two-sided consistency product, and every state it
     // visits is exact reachability evidence.
     PARCM_OBS_COUNT("verify.deep_probes", 1);
-    partial.max_states = budget.max_states * 8;
-    EnumerationResult deep = enumerate_executions(before, v.observed, partial);
+    opts.max_states = budget.max_states * 8;
+    EnumerationResult deep = enumerate_executions(before, v.observed, opts);
     reference_complete = deep.exhausted;
     reference.insert(deep.finals.begin(), deep.finals.end());
     bad = first_missing();

@@ -30,7 +30,8 @@ struct VmBudget {
   // Base of the schedule streams; same seed, same schedules, same verdict.
   std::uint64_t seed = 0x5EEDC0DEuLL;
   // Escalation budget for the one-sided exact enumeration that a candidate
-  // divergence must survive before it is believed.
+  // divergence must survive before it is believed; the enumeration may
+  // visit 8 * max_states states.
   std::size_t max_exact_nodes = 72;
   std::size_t max_states = 1u << 19;
 };
