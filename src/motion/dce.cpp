@@ -107,26 +107,81 @@ bool LivenessQuery::reads_x(const Node& node) const {
   return false;
 }
 
-void LivenessQuery::reset(const Graph& g, VarId x, bool observed) {
+void LivenessQuery::count_reads(NodeId n, int delta) {
+  const Node& node = g_->node(n);
+  // The root has no siblings, so its reads never count.
+  if (node.region == g_->root_region()) return;
+  auto count = [&](VarId v) {
+    avector<std::pair<RegionId, std::uint32_t>>& regions =
+        readers_[v.index()];
+    for (auto& [r, reads] : regions) {
+      if (r != node.region) continue;
+      reads += delta;
+      return;
+    }
+    PARCM_CHECK(delta > 0, "removing a read the index does not hold");
+    regions.emplace_back(node.region, 1);
+  };
+  if (node.kind == NodeKind::kAssign) node.rhs.for_each_var(count);
+  if (node.kind == NodeKind::kTest) node.cond->for_each_var(count);
+}
+
+void LivenessQuery::bind(const Graph& g) {
   g_ = &g;
+  readers_.assign(g.num_vars(), {});
+  for (NodeId n : g.all_nodes()) add_reads(n);
+  subtree_reads_.assign(g.num_regions(), 0);
+  memo_epoch_.assign(g.num_regions(), 0);
+  memo_.assign(g.num_regions(), 0);
+  stmt_epoch_.assign(g.num_par_stmts(), 0);
+  stmt_reading_.assign(g.num_par_stmts(), 0);
+  reset_epoch_ = 0;
+}
+
+void LivenessQuery::reset(VarId x, bool observed) {
+  const Graph& g = *g_;
   x_ = x;
   observed_ = observed;
   if (visited_.size() < g.num_nodes()) visited_.resize(g.num_nodes(), 0);
-  sibling_reads_.clear();
-  if (g.num_regions() == 1) return;  // no parallel statement, no siblings
-  // The root has no siblings, so its reads never reach a sibling row; a
-  // component's scan stops at its first read of x.
-  region_reads_.assign(g.num_regions(), 0);
-  for (std::size_t r = 1; r < g.num_regions(); ++r) {
-    for (NodeId n : g.region(RegionId(static_cast<RegionId::underlying>(r)))
-                        .nodes) {
-      if (reads_x(g.node(n))) {
-        region_reads_[r] = 1;
-        break;
+  if (++reset_epoch_ == 0) {  // wrapped: stale marks could alias the epoch
+    for (auto* marks : {&subtree_reads_, &memo_epoch_, &stmt_epoch_}) {
+      std::fill(marks->begin(), marks->end(), 0);
+    }
+    reset_epoch_ = 1;
+  }
+  // Mark each reading region and the components enclosing it; a marked
+  // component's enclosing components are already marked.
+  for (const auto& [region, reads] : readers_[x.index()]) {
+    if (reads == 0) continue;
+    for (RegionId c = region; c != g.root_region();
+         c = g.par_stmt(g.region(c).owner).parent_region) {
+      if (subtree_reads_[c.index()] == reset_epoch_) break;
+      subtree_reads_[c.index()] = reset_epoch_;
+      std::size_t s = g.region(c).owner.index();
+      if (stmt_epoch_[s] != reset_epoch_) {
+        stmt_epoch_[s] = reset_epoch_;
+        stmt_reading_[s] = 0;
       }
+      ++stmt_reading_[s];
     }
   }
-  sibling_reads_ = region_sibling_rows(g, region_reads_, 1);
+}
+
+bool LivenessQuery::sibling_reads(RegionId r) {
+  const Graph& g = *g_;
+  if (memo_epoch_[r.index()] == reset_epoch_) return memo_[r.index()] != 0;
+  bool reads = false;
+  for (RegionId c = r; c != g.root_region() && !reads;
+       c = g.par_stmt(g.region(c).owner).parent_region) {
+    std::size_t s = g.region(c).owner.index();
+    std::uint32_t reading =
+        stmt_epoch_[s] == reset_epoch_ ? stmt_reading_[s] : 0;
+    if (subtree_reads_[c.index()] == reset_epoch_) --reading;  // c itself
+    reads = reading > 0;
+  }
+  memo_epoch_[r.index()] = reset_epoch_;
+  memo_[r.index()] = reads;
+  return reads;
 }
 
 bool LivenessQuery::live_in(NodeId n) {
@@ -147,9 +202,7 @@ bool LivenessQuery::live_in(NodeId n) {
     if (reads_x(node)) return true;
     if (node.kind == NodeKind::kAssign && node.lhs == x_) continue;
     if (cur == g.end() && observed_) return true;
-    if (!sibling_reads_.empty() && sibling_reads_[node.region.index()] != 0) {
-      return true;
-    }
+    if (sibling_reads(node.region)) return true;
     for (EdgeId e : node.out_edges) {
       NodeId m = g.edge(e).to;
       if (visited_[m.index()] == epoch_) continue;

@@ -90,28 +90,49 @@ ParallelLiveness compute_parallel_liveness(const Graph& g,
 // a node whose region has a sibling component reading x, and at e* when x
 // is observed; it stops a branch at a redefinition of x. That is the least
 // fixpoint of compute_parallel_liveness's equations restricted to x's bit,
-// so every answer equals the full solve's live_in(n, x). The scratch (visit
-// marks, stack, region rows) is reused across reset() calls; each search
-// takes a fresh epoch of the visit marks instead of clearing them.
+// so every answer equals the full solve's live_in(n, x).
+//
+// Sibling reads come from an index of the component regions whose own
+// nodes read each variable, with the number of reads, built once by bind()
+// and kept current by the caller's add_reads()/remove_reads(). A reset()
+// marks the components whose subtree reads x, walking up from x's reading
+// regions only, so it costs the reads of x rather than a scan of the graph.
+// All marks are epoch-stamped and reused across resets and searches.
 class LivenessQuery {
  public:
-  // Prepares queries about x on g, where x is live at e* iff `observed`.
-  // Call again after g changes: the region rows depend on where x is read.
-  void reset(const Graph& g, VarId x, bool observed);
+  // Prepares queries on g and indexes its reads.
+  void bind(const Graph& g);
+  // Keep the index current while editing the bound graph: remove_reads(n)
+  // before node n stops reading its operands (is rewritten or becomes a
+  // skip), add_reads(n) once a new node n is in place.
+  void add_reads(NodeId n) { count_reads(n, 1); }
+  void remove_reads(NodeId n) { count_reads(n, -1); }
+  // Prepares queries about x on the bound graph, where x is live at e* iff
+  // `observed`.
+  void reset(VarId x, bool observed);
   // live_in(n, x) of compute_parallel_liveness(g, mask) for every mask
   // whose x bit is `observed`.
   bool live_in(NodeId n);
 
  private:
   bool reads_x(const Node& node) const;
+  void count_reads(NodeId n, int delta);
+  // Does a sibling component of r, or of a component enclosing r, read x?
+  bool sibling_reads(RegionId r);
 
   const Graph* g_ = nullptr;
   VarId x_;
   bool observed_ = false;
-  // One word per region (bit 0): the region's member nodes read x, and,
-  // folded, a sibling component at any nesting level reads x.
-  std::vector<BitVector::Word> region_reads_;
-  std::vector<BitVector::Word> sibling_reads_;
+  // Per variable: (component region, reads by the region's own nodes).
+  std::vector<avector<std::pair<RegionId, std::uint32_t>>> readers_;
+  // For x, per reset: the components whose subtree reads x, per statement
+  // the number of them, and a memo of sibling_reads by region.
+  std::uint32_t reset_epoch_ = 0;
+  std::vector<std::uint32_t> subtree_reads_;  // by region
+  std::vector<std::uint32_t> stmt_epoch_;
+  std::vector<std::uint32_t> stmt_reading_;   // by statement
+  std::vector<std::uint32_t> memo_epoch_;     // by region
+  std::vector<char> memo_;
   // visited_[n] == epoch_ iff the current search has visited n.
   std::vector<std::uint32_t> visited_;
   std::uint32_t epoch_ = 0;

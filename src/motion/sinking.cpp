@@ -17,7 +17,7 @@ namespace {
 
 class Sinker {
  public:
-  explicit Sinker(Graph& g) : g_(g) {}
+  explicit Sinker(Graph& g) : g_(g) { live_.bind(g); }
 
   // Attempts to sink assignment node a; returns true if applied.
   bool try_sink(NodeId a, std::size_t* placed, std::size_t* dropped) {
@@ -54,9 +54,12 @@ class Sinker {
     // path is a or a clean D-node. Starting from that region (every node
     // in it D) and retracting violated nodes reaches the same greatest
     // fixpoint as a sweep over the whole graph, touching only the region.
-    std::size_t num_nodes = g.num_nodes();
-    d_.assign(num_nodes, 0);
-    clean_.assign(num_nodes, 0);
+    // The flags are set only on region nodes and cleared there after use,
+    // so they grow with the graph but are never swept.
+    if (d_.size() < g.num_nodes()) {
+      d_.resize(g.num_nodes(), 0);
+      clean_.resize(g.num_nodes(), 0);
+    }
     region_.clear();
     auto enter_successors = [&](NodeId n) {
       for (EdgeId e : g.node(n).out_edges) {
@@ -109,10 +112,14 @@ class Sinker {
         if (!d_[t.index()]) on_edges.push_back(e);
       }
     }
+    for (NodeId n : region_) {
+      d_[n.index()] = 0;
+      clean_[n.index()] = 0;
+    }
 
     // x's liveness decides which copies are dead (every variable is
     // observable at e*: only definite overwrites drop).
-    live_.reset(g, x_, /*observed=*/true);
+    live_.reset(x_, /*observed=*/true);
     std::size_t new_placed = 0, new_dropped = 0;
     std::vector<NodeId> live_before;
     std::vector<EdgeId> live_edges;
@@ -140,12 +147,15 @@ class Sinker {
     for (NodeId n : live_before) {
       NodeId copy = g_.new_assign(g.node(n).region, x_, rhs_);
       g_.splice_before(copy, n);
+      live_.add_reads(copy);
     }
     for (EdgeId e : live_edges) {
       NodeId copy = g_.new_assign(edge_region(g_, e), x_, rhs_);
       wire_on_edge(g_, e, copy);
+      live_.add_reads(copy);
     }
     // The original becomes a skip.
+    live_.remove_reads(a);
     Node& orig = g_.node(a);
     orig.kind = NodeKind::kSkip;
     orig.lhs = VarId();
@@ -159,9 +169,10 @@ class Sinker {
   Graph& g_;
   VarId x_;
   Rhs rhs_;
-  // Per-candidate scratch, reused: D and Clean flags by node, the region
-  // reachable through clean nodes, the retraction worklist, and x's
-  // liveness queries.
+  // Per-candidate scratch, reused: D and Clean flags by node (all clear
+  // between candidates), the region reachable through clean nodes, the
+  // retraction worklist, and the liveness queries with their index of
+  // which regions read each variable.
   std::vector<char> d_;
   std::vector<char> clean_;
   std::vector<NodeId> region_;

@@ -131,10 +131,11 @@ std::size_t liveness_mismatches(const Graph& g, const BitVector& observed) {
 std::size_t query_mismatches(const Graph& g, const BitVector& observed) {
   ParallelLiveness live = compute_parallel_liveness(g, observed);
   LivenessQuery query;
+  query.bind(g);
   std::size_t mismatches = 0;
   for (std::size_t v = 0; v < g.num_vars(); ++v) {
     VarId var(static_cast<VarId::underlying>(v));
-    query.reset(g, var, observed.test(v));
+    query.reset(var, observed.test(v));
     for (NodeId n : g.all_nodes()) {
       mismatches += query.live_in(n) != live.live_in(n, var);
     }
@@ -307,6 +308,68 @@ TEST(Liveness, MatchesReferenceOnRandomPrograms) {
   EXPECT_GT(with_nested_par, 20u);
   EXPECT_GT(with_barrier, 20u);
   EXPECT_GT(multi_word, 5u);
+}
+
+// Sinking edits the graph between queries and keeps the query's read
+// index current. Move assignments as it does (a copy spliced in front of
+// another node of some region, the original turned into a skip) through
+// one bound query: its answers must still match a full solve of the
+// edited graph, including where a move empties or fills a component's
+// reads of a variable.
+TEST(Liveness, QueryFollowsEditsThroughItsReadIndex) {
+  std::size_t moves = 0, cross_region = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed);
+    RandomProgramOptions opt;
+    opt.target_stmts = 12 + seed % 20;
+    opt.max_par_depth = 3;
+    opt.par_permille = 300;
+    opt.while_permille = 100;
+    opt.cond_permille = 400;
+    opt.num_vars = 3 + static_cast<int>(seed % 3);
+    Graph g = random_program(rng, opt);
+    LivenessQuery query;
+    query.bind(g);
+    Rng pick(seed ^ 0x51D);
+    for (int step = 0; step < 8; ++step) {
+      std::vector<NodeId> assigns_now, targets;
+      for (NodeId n : g.all_nodes()) {
+        NodeKind kind = g.node(n).kind;
+        if (kind == NodeKind::kAssign) assigns_now.push_back(n);
+        if (kind == NodeKind::kAssign || kind == NodeKind::kSkip) {
+          targets.push_back(n);
+        }
+      }
+      if (assigns_now.empty()) break;
+      NodeId a = assigns_now[pick.below(assigns_now.size())];
+      NodeId before = targets[pick.below(targets.size())];
+      if (before == a) continue;
+      NodeId copy = g.new_assign(g.node(before).region, g.node(a).lhs,
+                                 g.node(a).rhs);
+      g.splice_before(copy, before);
+      query.add_reads(copy);
+      query.remove_reads(a);
+      g.node(a).kind = NodeKind::kSkip;
+      g.node(a).lhs = VarId();
+      g.node(a).rhs = Rhs();
+      ++moves;
+      cross_region += g.node(a).region != g.node(copy).region;
+
+      BitVector all(g.num_vars(), true);
+      ParallelLiveness live = compute_parallel_liveness(g, all);
+      std::size_t mismatches = 0;
+      for (std::size_t v = 0; v < g.num_vars(); ++v) {
+        VarId var(static_cast<VarId::underlying>(v));
+        query.reset(var, true);
+        for (NodeId n : g.all_nodes()) {
+          mismatches += query.live_in(n) != live.live_in(n, var);
+        }
+      }
+      ASSERT_EQ(mismatches, 0u) << "seed " << seed << " step " << step;
+    }
+  }
+  EXPECT_GT(moves, 300u);
+  EXPECT_GT(cross_region, 100u);
 }
 
 // On loop-free graphs the backward RPO is topological, so the sparse
