@@ -66,10 +66,12 @@ BENCHMARK(BM_PcmPipelineRandom)->DenseRange(1, 4);
 // between passes) over `inputs`, once each per iteration. The *_ms counters
 // are per-pass wall times summed over the inputs and averaged over the
 // iterations. `relaxations` (motion.liveness.relaxations, DCE's per-round
-// liveness solves) and `constprop_relaxations`
-// (analysis.constprop.relaxations) are one iteration's deterministic
-// counts, which check_bench_regression.py gates hard. They come from the
-// PassStats counter deltas, so they read 0 when the library is built with
+// liveness solves), `constprop_relaxations`
+// (analysis.constprop.relaxations) and `placement_nodes`
+// (motion.placement.cone_nodes, the nodes PCM's per-anchor MUSTUSE solves
+// touch) are one iteration's deterministic counts, which
+// check_bench_regression.py gates hard. They come from the PassStats
+// counter deltas, so they read 0 when the library is built with
 // PARCM_OBS=OFF. `constprop_nodes` is the size of the graphs constprop ran
 // on (pcm's output): on a loop-free input the solve relaxes each node at
 // most once.
@@ -78,10 +80,12 @@ void run_default_pipeline(benchmark::State& state,
   Pipeline pipeline = default_pipeline();
   std::map<std::string, double> pass_ms;
   std::uint64_t relaxations = 0, constprop_relaxations = 0;
+  std::uint64_t placement_nodes = 0;
   std::size_t constprop_nodes = 0;
   for (auto _ : state) {
     relaxations = 0;
     constprop_relaxations = 0;
+    placement_nodes = 0;
     constprop_nodes = 0;
     for (const Graph& g : inputs) {
       PipelineResult r = pipeline.run(g);
@@ -89,6 +93,7 @@ void run_default_pipeline(benchmark::State& state,
         pass_ms[p.name] += p.wall_ms;
         relaxations += p.counter("motion.liveness.relaxations");
         constprop_relaxations += p.counter("analysis.constprop.relaxations");
+        placement_nodes += p.counter("motion.placement.cone_nodes");
         if (p.name == "constprop") constprop_nodes += p.nodes_before;
       }
       benchmark::DoNotOptimize(r.graph.num_nodes());
@@ -105,6 +110,7 @@ void run_default_pipeline(benchmark::State& state,
   state.counters["constprop_relaxations"] =
       static_cast<double>(constprop_relaxations);
   state.counters["constprop_nodes"] = static_cast<double>(constprop_nodes);
+  state.counters["placement_nodes"] = static_cast<double>(placement_nodes);
 }
 
 // large_family(segments, 1): 202, 802 and 3202 nodes.

@@ -3,8 +3,8 @@
 
 Compares a freshly produced bench run against the committed BENCH_*.json
 baseline(s) and fails when a benchmark got slower than the threshold allows
-or when a deterministic counter (relaxations and constprop_relaxations by
-default) grew at all or is no longer reported.
+or when a deterministic counter (relaxations, constprop_relaxations and
+placement_nodes by default) grew at all or is no longer reported.
 
 Instead of diffing raw per-size timings — noisy on shared CI runners — the
 gate fits a power-law scaling model t(n) = a * n^b (log-log least squares,
@@ -50,8 +50,10 @@ import sys
 # growth in any of these is a hard failure. relaxations: worklist pops of
 # the fixpoint solvers (bench_fixpoint) and of DCE's liveness solves
 # (bench_pipeline); constprop_relaxations: the constant-propagation solve's
-# (bench_pipeline).
-DEFAULT_HARD_COUNTERS = ["relaxations", "constprop_relaxations"]
+# (bench_pipeline); placement_nodes: the nodes PCM placement's per-anchor
+# MUSTUSE cone solves touch (bench_pipeline).
+DEFAULT_HARD_COUNTERS = ["relaxations", "constprop_relaxations",
+                         "placement_nodes"]
 
 # Absolute bounds on fresh counters, gated independently of any baseline:
 # the shared analysis cache must actually hit on the pooled bench corpus,
@@ -434,7 +436,8 @@ def run_trend(history_dir, fresh_paths, threshold, hard_counters,
     return 0
 
 
-def make_fixture(scale_time=1.0, relaxations=25, constprop_relaxations=40):
+def make_fixture(scale_time=1.0, relaxations=25, constprop_relaxations=40,
+                 placement_nodes=90):
     """A parcm-bench-v1 document with one 3-size family and one singleton."""
     results = []
     for n in (64, 512, 4096):
@@ -447,6 +450,7 @@ def make_fixture(scale_time=1.0, relaxations=25, constprop_relaxations=40):
                 "counters": {
                     "relaxations": relaxations,
                     "constprop_relaxations": constprop_relaxations,
+                    "placement_nodes": placement_nodes,
                     "nodes": n,
                 },
             }
@@ -528,6 +532,7 @@ def self_test(threshold):
     slow = write(make_fixture(scale_time=2.0))  # 2x slower: must fail
     more = write(make_fixture(relaxations=26))  # counter grew: must fail
     more_cp = write(make_fixture(constprop_relaxations=41))  # likewise
+    more_pl = write(make_fixture(placement_nodes=91))  # likewise
     # A hard counter that disappears must fail like one that grew: the
     # fresh run drops the counter from a row, or drops a whole row.
     no_counter = make_fixture()
@@ -553,6 +558,9 @@ def self_test(threshold):
     if run_gate([base], [more_cp], threshold, DEFAULT_HARD_COUNTERS, True,
                 quiet) != 1:
         failures.append("constprop_relaxations growth accepted")
+    if run_gate([base], [more_pl], threshold, DEFAULT_HARD_COUNTERS, True,
+                quiet) != 1:
+        failures.append("placement_nodes growth accepted")
     for path, row, counter, what in (
             (no_counter, "BM_Fixture/512", "constprop_relaxations",
              "dropped hard counter"),
@@ -652,7 +660,7 @@ def self_test(threshold):
         failures.append("empty history dir not reported as usage error")
     os.rmdir(empty)
 
-    for path in (base, same, slow, more, more_cp, no_counter, no_row,
+    for path in (base, same, slow, more, more_cp, more_pl, no_counter, no_row,
                  batch_ok, batch_cold,
                  batch_fat,
                  exec_ok, exec_slow, exec_regressed, exec_drift):
@@ -681,7 +689,8 @@ def main(argv):
     p.add_argument("--counter", action="append", default=[],
                    dest="counters",
                    help="deterministic counter treated as a hard gate "
-                        "(default: relaxations, constprop_relaxations)")
+                        "(default: relaxations, constprop_relaxations, "
+                        "placement_nodes)")
     p.add_argument("--advisory-timing", action="store_true",
                    help="report timing regressions without failing; "
                         "deterministic counters still fail hard")
